@@ -4,7 +4,7 @@ Times (a) monitor compilation, cold vs LRU-cached — the decompose →
 closure → subset-table pipeline the cache amortizes across sessions —
 (b) end-to-end engine throughput (events/second) at batch sizes 1, 64
 and 1024 over 100 concurrent sessions, checked verdict-for-verdict
-against the one-shot ``RvMonitor`` reference, and (c) the same stream
+against the set-based ``RvMonitor`` reference oracle, and (c) the same stream
 under a finitary horizon (PR 10): four-valued verdict tracking with
 per-verdict latency percentiles recorded in ``extra_info`` (and hence
 in ``BENCH_rv_throughput.json``).
@@ -15,8 +15,9 @@ from collections import Counter
 
 import pytest
 
-from repro.ltl import RvMonitor, parse
+from repro.ltl import parse
 from repro.rv import CompileCache, RvEngine
+from tests.rv.reference import RvMonitor
 
 from .conftest import emit
 

@@ -4,12 +4,14 @@ A monitor watching a finite trace can conclude FALSE only by seeing a
 *bad prefix* (safety content) and TRUE only by seeing a bad prefix of
 the negation (co-safety content); pure liveness like GF a never leaves
 UNKNOWN.  The verdict machinery is exactly the Alpern–Schneider closure
-of the formula automaton and of its negation.
+of the formula automaton and of its negation: ``compile_formula``
+decomposes both and steps the product of their safety closures.
 
 Run:  python examples/runtime_verification.py
 """
 
-from repro.ltl import RvMonitor, Verdict3, parse, syntactic_class
+from repro.ltl import parse, syntactic_class
+from repro.rv import TraceSession, compile_formula
 
 SPECS = [
     "G a",            # safety: falsifiable, never verifiable
@@ -24,7 +26,7 @@ TRACES = ["", "a", "ab", "abab", "ba", "bb", "aaab"]
 print(f"{'formula':16s} {'syntactic':10s} " + "".join(f"{t or 'ε':>7s}" for t in TRACES))
 for text in SPECS:
     formula = parse(text)
-    monitor = RvMonitor(formula, "ab")
+    monitor = compile_formula(formula, "ab")
     cells = []
     for trace in TRACES:
         verdict = monitor.run(trace)
@@ -36,12 +38,11 @@ for text in SPECS:
 
 print("\nmonitorability from the initial state:")
 for text in SPECS:
-    monitor = RvMonitor(parse(text), "ab")
-    monitor.reset()
-    print(f"  {text:16s} -> {monitor.is_monitorable_now()}")
+    session = TraceSession(text, compile_formula(parse(text), "ab"))
+    print(f"  {text:16s} -> {session.monitorable}")
 
 print("\nincremental session on G (a -> X b):")
-monitor = RvMonitor(parse("G (a -> X b)"), "ab")
+session = TraceSession("s", compile_formula(parse("G (a -> X b)"), "ab"))
 for event in "abaab":
-    verdict = monitor.observe(event)
-    print(f"  after {event!r} (step {monitor.position}): {verdict.value}")
+    verdict = session.observe(event)
+    print(f"  after {event!r} (step {session.position}): {verdict.value}")

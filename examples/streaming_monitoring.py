@@ -3,7 +3,7 @@ four-valued verdicts.
 
 Five LTL policies, one thousand live traces, one compiled monitor per
 *distinct* policy (the LRU cache proves it), events ingested in
-interleaved batches through the worker-pool engine.  Since PR 10 every
+interleaved batches through the worker-pool engine.  Every
 monitor is compiled through ``repro.analysis.decompose()`` — safety
 closure onto the subset-table falsifier, liveness conjunct onto the
 finitary bound tracker — so sessions report the four-valued verdict
@@ -16,9 +16,10 @@ lattice instead of "inconclusive forever" on live policies:
 * ``satisfied_so_far`` — nothing outstanding right now;
 * ``inconclusive`` — a wait is open but within the bound.
 
-The three-valued verdicts stay bit-identical to feeding each trace to
-the one-shot ``repro.ltl.RvMonitor`` — the decomposition changes what
-the engine can *say*, never what it decides.
+The three-valued verdicts are those of a set-based monitor stepping
+``translate(φ)`` and ``translate(¬φ)`` directly (the test suite checks
+this on random formulas) — the decomposition changes what the engine
+can *say*, never what it decides.
 
 The run is fully observed: a :class:`repro.obs.Tracer` records one
 ``rv.ingest`` span per batch with ``rv.drain_group`` children (written

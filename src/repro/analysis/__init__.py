@@ -2,10 +2,8 @@
 closure, and the paper's tables as reports.
 
 :func:`decompose` is the one decomposition entry point (see
-:mod:`repro.analysis.decompose` for the dispatch table).  The deprecated
-per-kind spellings (``decompose_element`` and friends) are still
-importable from :mod:`repro.analysis.classify` but are deliberately kept
-out of ``__all__`` (checks rule RC006)."""
+:mod:`repro.analysis.decompose` for the dispatch table); the old
+per-kind spellings (``decompose_element`` and friends) are removed."""
 
 from .classify import (
     PropertyClass,
@@ -13,9 +11,6 @@ from .classify import (
     classify_element,
     classify_formula,
     classify_rabin_on_samples,
-    decompose_automaton,  # noqa: F401 — deprecated shim, importable not exported
-    decompose_element,  # noqa: F401 — deprecated shim, importable not exported
-    decompose_formula,  # noqa: F401 — deprecated shim, importable not exported
 )
 from .decompose import BoundDecomposition, Decomposition, decompose
 from .machine_closure import (

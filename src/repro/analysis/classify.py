@@ -11,23 +11,17 @@ single vocabulary:
 * :func:`classify_rabin_on_samples` — the tree instance, sampled
   (Section 4.4, per the DESIGN.md substitution);
 * the corresponding Theorem 2/3/9 constructions, all behind the one
-  :func:`repro.analysis.decompose` facade (the old
-  ``decompose_element`` / ``decompose_automaton`` /
-  ``decompose_formula`` spellings survive as deprecated shims).
+  :func:`repro.analysis.decompose` facade.
 """
 
 from __future__ import annotations
 
-import warnings
-
 from repro.buchi.automaton import BuchiAutomaton
 from repro.buchi.closure import is_liveness as buchi_is_liveness
 from repro.buchi.closure import is_safety as buchi_is_safety
-from repro.buchi.decomposition import _decompose as _buchi_decompose
 from repro.lattice.closure import LatticeClosure
-from repro.lattice.decomposition import _decompose_single
 from repro.lattice.lattice import FiniteLattice
-from repro.ltl.classify import PropertyClass, _decompose_formula
+from repro.ltl.classify import PropertyClass
 from repro.ltl.classify import classify as ltl_classify
 from repro.ltl.syntax import Formula
 
@@ -73,42 +67,6 @@ def classify_rabin_on_samples(automaton, sample_trees, depth: int = 3) -> Proper
     )
     live = all(accepts_tree(cl, t) for t in sample_trees)
     return _combine(safe, live)
-
-
-def decompose_element(lattice: FiniteLattice, cl: LatticeClosure, element):
-    """Deprecated spelling of Theorem 2 — use
-    :func:`repro.analysis.decompose` with ``closure=cl``."""
-    warnings.warn(
-        "repro.analysis.classify.decompose_element is deprecated; use "
-        "repro.analysis.decompose(element, closure=cl)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _decompose_single(lattice, cl, element)
-
-
-def decompose_automaton(automaton: BuchiAutomaton):
-    """Deprecated spelling of the §2.4 decomposition — use
-    :func:`repro.analysis.decompose`."""
-    warnings.warn(
-        "repro.analysis.classify.decompose_automaton is deprecated; use "
-        "repro.analysis.decompose(automaton)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _buchi_decompose(automaton)
-
-
-def decompose_formula(formula: Formula, alphabet):
-    """Deprecated spelling — use
-    :func:`repro.analysis.decompose` with ``alphabet=``."""
-    warnings.warn(
-        "repro.analysis.classify.decompose_formula is deprecated; use "
-        "repro.analysis.decompose(formula, alphabet=alphabet)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _decompose_formula(formula, alphabet)
 
 
 __all__ = [

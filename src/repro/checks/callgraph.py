@@ -14,14 +14,14 @@ per-file half stays embarrassingly parallel:
    global symbol tables and resolves the descriptors into
    module-qualified function names.
 
-Precision is deliberately *one-hop*, matching RC006's resolver: a
-receiver's class is known when it is spelled at the call site's scope
-(a parameter annotation, a local ``v = Cls(...)``, a ``self.attr``
-assigned a constructor in any method, or a module-level ``X = Cls()``
-— including one imported from another module), and method lookup
-chases at most one level of base class.  Anything deeper resolves to
-``None`` and the rules stay silent — a may-analysis built on the graph
-under-approximates calls but never invents them.
+Precision is deliberately *one-hop*: a receiver's class is known when
+it is spelled at the call site's scope (a parameter annotation, a local
+``v = Cls(...)``, a ``self.attr`` assigned a constructor in any method,
+or a module-level ``X = Cls()`` — including one imported from another
+module), and method lookup chases at most one level of base class.
+Anything deeper resolves to ``None`` and the rules stay silent — a
+may-analysis built on the graph under-approximates calls but never
+invents them.
 """
 
 from __future__ import annotations

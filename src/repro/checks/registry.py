@@ -24,7 +24,7 @@ from .rules_layering import KernelLayeringRule
 from .rules_locks import LockDisciplineRule
 from .rules_metrics import MetricNamingRule
 from .rules_ops import OpsDisciplineRule
-from .rules_shims import DeprecatedShimExportRule
+from .rules_shims import DeprecatedShimRule
 from .rules_state import MutableModuleStateRule
 
 RULE_CLASSES = (
@@ -33,7 +33,7 @@ RULE_CLASSES = (
     ImportHygieneRule,
     ApiSurfaceRule,
     MutableModuleStateRule,
-    DeprecatedShimExportRule,
+    DeprecatedShimRule,
     KernelLayeringRule,
     CertVerifierIndependenceRule,
     OpsDisciplineRule,

@@ -1,21 +1,15 @@
-"""RC006 — deprecation hygiene: ``__all__`` never re-exports a shim.
+"""RC006 — no deprecated shims: library code never issues a
+``DeprecationWarning``.
 
-The facade migration (``repro.analysis.decompose``) keeps every old
-entry point alive as a *deprecated shim* — a function whose body calls
-``warnings.warn(..., DeprecationWarning)`` before forwarding.  Shims
-must stay **importable** (existing code keeps working) but not
-**advertised**: a name in ``__all__`` is documentation-grade API, and
-advertising a deprecated spelling recruits new callers to it.
-
-A function counts as a shim when its own body (nested defs excluded)
+The facade migration (``repro.analysis.decompose``) retired every old
+entry point outright: a renamed or superseded spelling is deleted in the
+change that supersedes it, never kept alive as a forwarding *shim*.  A
+function counts as a shim when its own body (nested defs excluded)
 contains a literal ``warnings.warn``/``warn`` call whose category is
-``DeprecationWarning``.  The rule is cross-file and follows re-export
-*chains*: ``from .warmup import warm_start`` in a package init, then
-``from .service import warm_start`` in a parent init, still bottoms out
-at the shim — every ``__all__`` entry is resolved through the recorded
-``from repro... import name`` edges (with a cycle guard) until it
-reaches a definition, so a shim cannot reappear in any ``__all__`` by
-routing through an intermediate module.
+``DeprecationWarning``.  The rule is single-file: every function and
+method under ``src/repro`` is checked, whether or not any ``__all__``
+names it, so a shim can neither hide behind a re-export chain nor sit
+unexported in a module.
 """
 
 from __future__ import annotations
@@ -23,7 +17,6 @@ from __future__ import annotations
 import ast
 
 from .core import Finding, ModuleFile, Rule
-from .rules_imports import _module_dotted_path, _resolve_relative
 
 
 def _own_statements(body):
@@ -70,121 +63,20 @@ def _warns_deprecated(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     return False
 
 
-def _literal_all(tree: ast.Module) -> list[ast.Constant] | None:
-    """The string-literal elements of a module-level ``__all__``, or
-    None when absent/non-literal (RC004 owns that complaint)."""
-    assignment = None
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            assignment = node
-    if assignment is None:
-        return None
-    value = assignment.value
-    if not isinstance(value, (ast.List, ast.Tuple)):
-        return None
-    elements = []
-    for el in value.elts:
-        if not (isinstance(el, ast.Constant) and isinstance(el.value, str)):
-            return None
-        elements.append(el)
-    return elements
-
-
-class DeprecatedShimExportRule(Rule):
+class DeprecatedShimRule(Rule):
     rule_id = "RC006"
-    title = "deprecation hygiene: __all__ must not re-export deprecated shims"
+    title = "no deprecated shims: no function warns DeprecationWarning"
     scope = "src"
-    cross_file = True
-
-    def __init__(self):
-        self._shims: dict[str, set[str]] = {}
-        # every module's ``from repro... import`` edges — recorded even
-        # for modules without ``__all__``, because a re-export *chain*
-        # can pass through them on the way to a shim
-        self._imports: dict[str, dict[str, tuple[str, str]]] = {}
-        self._exports: list[tuple[str, str, list[tuple[str, int]]]] = []
-
-    def reset(self) -> None:
-        self._shims = {}
-        self._imports = {}
-        self._exports = []
-
-    def merge(self, other: "DeprecatedShimExportRule") -> None:
-        self._shims.update(other._shims)
-        self._imports.update(other._imports)
-        self._exports.extend(other._exports)
 
     def check(self, module: ModuleFile) -> list[Finding]:
-        dotted = ".".join(_module_dotted_path(module))
-        if not dotted:
-            return []
-        shims = {
-            node.name
-            for node in module.tree.body
+        return [
+            self.finding(
+                module, node.lineno,
+                f"{node.name!r} issues a DeprecationWarning; delete the old "
+                "spelling and move its callers to the replacement instead "
+                "of keeping a shim",
+            )
+            for node in ast.walk(module.tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and _warns_deprecated(node)
-        }
-        if shims:
-            self._shims[dotted] = shims
-        imports: dict[str, tuple[str, str]] = {}
-        for node in module.tree.body:
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            target = (
-                _resolve_relative(module, node) if node.level else node.module
-            )
-            if target is None or target.split(".")[0] != "repro":
-                continue
-            for alias in node.names:
-                if alias.name != "*":
-                    imports[alias.asname or alias.name] = (target, alias.name)
-        if imports:
-            self._imports[dotted] = imports
-        exported = _literal_all(module.tree)
-        if exported is None:
-            return []
-        self._exports.append((
-            module.rel,
-            dotted,
-            [(el.value, el.lineno) for el in exported],
-        ))
-        return []
-
-    def _shim_origin(self, dotted: str, name: str) -> str | None:
-        """The module where ``dotted``'s binding of ``name`` bottoms out
-        as a shim, following re-export edges; None when it never does."""
-        seen: set[tuple[str, str]] = set()
-        while (dotted, name) not in seen:
-            seen.add((dotted, name))
-            if name in self._shims.get(dotted, set()):
-                return dotted
-            edge = self._imports.get(dotted, {}).get(name)
-            if edge is None:
-                return None
-            dotted, name = edge
-        return None  # import cycle; nothing resolved to a shim
-
-    def finalize(self) -> list[Finding]:
-        findings: list[Finding] = []
-        for rel, dotted, exported in self._exports:
-            for name, line in exported:
-                origin_module = self._shim_origin(dotted, name)
-                if origin_module is None:
-                    continue
-                origin = (
-                    "defined here" if origin_module == dotted
-                    else f"resolved to {origin_module}"
-                )
-                findings.append(Finding(
-                    path=rel,
-                    line=line,
-                    rule=self.rule_id,
-                    message=(
-                        f"__all__ re-exports deprecated shim {name!r} "
-                        f"({origin}); shims stay importable but are not "
-                        "part of the advertised API"
-                    ),
-                ))
-        return findings
+        ]

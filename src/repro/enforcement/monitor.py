@@ -44,8 +44,8 @@ class SecurityMonitor:
     """A truncation monitor for a safety property.
 
     Runs the subset construction of a safety automaton, pre-determinized
-    into a :class:`~repro.buchi.subset.SubsetTable` (the code path shared
-    with the streaming engine in :mod:`repro.rv`): the monitor admits an
+    into a :class:`~repro.buchi.subset.SubsetTable` (the table type the
+    streaming engine in :mod:`repro.rv` also compiles to): the monitor admits an
     event iff some run of the automaton survives it; once no run
     survives, the prefix is *bad* and the execution is truncated (every
     continuation violates the policy — exactly why only safety is
@@ -73,15 +73,6 @@ class SecurityMonitor:
         from repro.ltl.translate import translate
 
         return cls.for_property(translate(formula, alphabet))
-
-    @classmethod
-    def from_table(cls, table: SubsetTable) -> "SecurityMonitor":
-        """Wrap an already-compiled subset table (the streaming engine's
-        construction path — no re-determinization, shared table)."""
-        self = cls.__new__(cls)
-        self._table = table
-        self.reset()
-        return self
 
     def reset(self) -> None:
         self._state = self._table.initial

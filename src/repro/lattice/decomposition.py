@@ -6,9 +6,7 @@ function implements one numbered result:
 * :func:`liveness_part` — Lemma 4 (``a ∨ b`` is live for ``b ∈ cmp(cl.a)``)
 * :func:`_decompose` — Theorem 3 (two comparable closures); Theorem 2 is
   the ``cl1 = cl2`` special case :func:`_decompose_single`.  Call both
-  through the unified :func:`repro.analysis.decompose` facade; the old
-  public names :func:`decompose` / :func:`decompose_single` remain as
-  deprecated shims.
+  through the unified :func:`repro.analysis.decompose` facade.
 * :func:`no_decomposition_witness` / :func:`theorem5_applies` — Theorem 5
 * :func:`check_strongest_safety` — Theorem 6 (machine closure / extremal
   safety)
@@ -20,7 +18,6 @@ function implements one numbered result:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.obs.metrics import REGISTRY
@@ -163,47 +160,6 @@ def _decompose_single(
     e.g. the Alpern–Schneider ``P = lcl.P ∩ (P ∪ ¬lcl.P)``."""
     return _decompose(
         lattice, cl, cl, a, complement=complement, check_hypotheses=check_hypotheses
-    )
-
-
-def decompose(
-    lattice: FiniteLattice,
-    cl1: LatticeClosure,
-    cl2: LatticeClosure,
-    a: Element,
-    complement: Element | None = None,
-    check_hypotheses: bool = True,
-) -> Decomposition:
-    """Deprecated spelling of Theorem 3 — use
-    :func:`repro.analysis.decompose` with ``closure=(cl1, cl2)``."""
-    warnings.warn(
-        "repro.lattice.decomposition.decompose is deprecated; use "
-        "repro.analysis.decompose(element, closure=(cl1, cl2))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _decompose(
-        lattice, cl1, cl2, a, complement=complement, check_hypotheses=check_hypotheses
-    )
-
-
-def decompose_single(
-    lattice: FiniteLattice,
-    cl: LatticeClosure,
-    a: Element,
-    complement: Element | None = None,
-    check_hypotheses: bool = True,
-) -> Decomposition:
-    """Deprecated spelling of Theorem 2 — use
-    :func:`repro.analysis.decompose` with ``closure=cl``."""
-    warnings.warn(
-        "repro.lattice.decomposition.decompose_single is deprecated; use "
-        "repro.analysis.decompose(element, closure=cl)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _decompose_single(
-        lattice, cl, a, complement=complement, check_hypotheses=check_hypotheses
     )
 
 

@@ -1,13 +1,12 @@
 """Linear Temporal Logic: syntax, lasso semantics, Büchi translation,
 and the safety/liveness classifier (paper §2.2–2.3)."""
 
-from .classify import Classification, PropertyClass, classify, decompose_formula
+from .classify import Classification, PropertyClass, classify
 from .fragments import (
     is_syntactically_cosafe,
     is_syntactically_safe,
     syntactic_class,
 )
-from .monitoring import RvMonitor, Verdict3, monitor_verdict
 from .parser import ParseError, parse
 from .rem import RemExample, classify_rem_examples, rem_examples
 from .semantics import evaluate_positions, language_of, models_within, satisfies
@@ -73,8 +72,5 @@ __all__ = [
     "is_syntactically_safe",
     "is_syntactically_cosafe",
     "syntactic_class",
-    "RvMonitor",
-    "Verdict3",
-    "monitor_verdict",
     "simplify",
 ]

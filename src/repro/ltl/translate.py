@@ -257,16 +257,26 @@ def _degeneralize(
             if targets:
                 nba_transitions[node, a] = frozenset(targets)
 
-    accepting = frozenset(
+    accepting = [
         n
         for n in nba_states
         if n != init and n[1] == 0 and n[0] in acceptance_sets[0]
-    )
+    ]
+    # Number the states by their formula content.  The tuples' own reprs
+    # follow string hashing, and trim, the simulation quotient and
+    # renumbered() all order states by repr, so keeping them would make
+    # the output depend on the process's hash seed.
+    ordered = sorted(nba_states - {init}, key=lambda n: (sorted_key(n[0]), n[1]))
+    number = {node: k for k, node in enumerate(ordered, 1)}
+    number[init] = 0
     return BuchiAutomaton(
         alphabet=alphabet,
-        states=frozenset(nba_states),
-        initial=init,
-        transitions=nba_transitions,
-        accepting=accepting,
+        states=frozenset(number.values()),
+        initial=0,
+        transitions={
+            (number[q], a): frozenset(number[t] for t in targets)
+            for (q, a), targets in nba_transitions.items()
+        },
+        accepting=frozenset(number[n] for n in accepting),
         name=name,
     )

@@ -3,7 +3,7 @@
 
 from .automaton import RabinError, RabinPair, RabinTreeAutomaton
 from .closure import is_closure_automaton, rfcl
-from .decomposition import RabinDecomposition, decompose
+from .decomposition import RabinDecomposition
 from .games_bridge import (
     accepts_tree,
     emptiness_witness,

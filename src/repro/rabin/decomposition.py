@@ -18,7 +18,6 @@ sampled verification loops inherit the dense LAR numbering.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.trees.regular import RegularTree
@@ -94,15 +93,3 @@ def _decompose(automaton: RabinTreeAutomaton) -> RabinDecomposition:
     )
     live.name = f"L({automaton.name}) ∪ ¬L({safety.name})"
     return RabinDecomposition(original=automaton, safety=safety, liveness=live)
-
-
-def decompose(automaton: RabinTreeAutomaton) -> RabinDecomposition:
-    """Deprecated spelling of Theorem 9 — use
-    :func:`repro.analysis.decompose`."""
-    warnings.warn(
-        "repro.rabin.decomposition.decompose is deprecated; use "
-        "repro.analysis.decompose(automaton)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _decompose(automaton)

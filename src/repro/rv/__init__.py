@@ -1,17 +1,18 @@
 """Streaming runtime verification at serving scale.
 
-The one-shot monitors in :mod:`repro.ltl.monitoring` and
-:mod:`repro.enforcement.monitor` carry the theory; this package carries
-the traffic.  Layering (each layer only knows the one below):
+One monitor core carries the traffic: every policy compiles to a
+:class:`DecomposedMonitor` (the paper's ``B = B_S ∩ B_L`` split lowered
+onto dense tables), and sessions, the engine and the service's
+``Monitor`` verb all step it.  Layering (each layer only knows the one
+below):
 
-* :mod:`repro.rv.verdicts` — the four-valued verdict lattice
-  (:class:`Verdict4`, :class:`MonitorOutcome`) that decomposition-driven
-  monitoring produces;
+* :mod:`repro.rv.verdicts` — the verdict lattices: the three-valued
+  :class:`Verdict3` and the four-valued :class:`Verdict4` /
+  :class:`MonitorOutcome` that decomposition-driven monitoring produces;
 * :mod:`repro.rv.compile` — formulas → :func:`repro.analysis.decompose`
-  → dense transition tables (:class:`DecomposedMonitor` =
-  :class:`MonitorTable` product of the safety closures +
-  :class:`BoundTracker` for the liveness conjunct), memoized in an LRU
-  :class:`CompileCache`;
+  → dense transition tables (:class:`DecomposedMonitor` = product of the
+  safety closures' subset tables + :class:`BoundTracker` for the
+  liveness conjunct), memoized in an LRU :class:`CompileCache`;
 * :mod:`repro.rv.session` — per-trace cursors over shared tables, with
   bounded-queue backpressure and per-session finitary horizons
   (:class:`TraceSession`, :class:`SessionManager`);
@@ -22,19 +23,14 @@ the traffic.  Layering (each layer only knows the one below):
 * :mod:`repro.rv.stats` — the engine's measurements
   (:class:`EngineStats`), a facade over the shared :mod:`repro.obs`
   metric registry (``repro_rv_*`` families with an ``engine`` label,
-  including the PR-10 ``repro_rv_verdict_transitions_total`` and
+  including ``repro_rv_verdict_transitions_total`` and
   ``repro_rv_verdict_latency_seconds``); pass ``RvEngine(tracer=...)``
   for ingest/drain spans.
 
-The three-valued :class:`~repro.ltl.monitoring.Verdict3` surface is
-unchanged and the engine stays bit-identical to feeding each session's
-events to an :class:`~repro.ltl.monitoring.RvMonitor` one at a time —
-the test suite enforces this equivalence property.  The four-valued
-:class:`Verdict4` surface (``verdict4``, ``outcome()``, horizons) rides
-alongside it.
+The test suite checks the compiled monitor, sessions and the engine
+verdict for verdict against an independent set-based reference monitor
+that steps ``translate(φ)`` and ``translate(¬φ)`` directly.
 """
-
-from repro.ltl.monitoring import Verdict3
 
 from .compile import (
     BoundTracker,
@@ -42,7 +38,6 @@ from .compile import (
     CompileCache,
     DEFAULT_CACHE,
     DecomposedMonitor,
-    MonitorTable,
     SubsetTable,
     canonical_key,
     compile_formula,
@@ -51,7 +46,7 @@ from .engine import RvEngine
 from .pool import WorkerPool
 from .session import BackpressureError, SessionError, SessionManager, TraceSession
 from .stats import Counter, EngineStats, Gauge, Histogram
-from .verdicts import MonitorOutcome, Verdict4, most_severe
+from .verdicts import MonitorOutcome, Verdict3, Verdict4, most_severe
 
 __all__ = [
     "Verdict3",
@@ -60,7 +55,6 @@ __all__ = [
     "most_severe",
     "SubsetTable",
     "BoundTracker",
-    "MonitorTable",
     "DecomposedMonitor",
     "CompileCache",
     "CacheInfo",

@@ -1,17 +1,17 @@
 """Monitor compilation: ``decompose()`` output → dense tables, memoized.
 
-Since PR 10 the compilation source of truth is the paper's own split:
+The compilation source of truth is the paper's own split:
 :func:`repro.analysis.decompose` factors the policy into its safety
 closure and dense (live) part, and each conjunct is lowered onto the
 machinery that can actually decide it on a finite prefix:
 
-* the **safety conjunct** ``cl(A_φ)`` feeds the existing
-  :class:`SubsetTable` falsifier — bad prefixes of ``cl(L)`` and of
-  ``L`` coincide (a prefix is extendable into ``cl(L)`` iff it is a
-  prefix of some word of ``L``), so the product of the ``φ``-side and
-  ``¬φ``-side subset tables issues verdicts bit-identical to the PR-1
-  direct construction;
-* the **liveness conjunct** ``A_φ ∪ ¬cl(A_φ)`` feeds a new
+* the **safety conjunct** ``cl(A_φ)`` feeds the :class:`SubsetTable`
+  falsifier — bad prefixes of ``cl(L)`` and of ``L`` coincide (a prefix
+  is extendable into ``cl(L)`` iff it is a prefix of some word of
+  ``L``), so the product of the ``φ``-side and ``¬φ``-side subset
+  tables issues the same verdicts as stepping ``translate(φ)`` and
+  ``translate(¬φ)`` as sets of states;
+* the **liveness conjunct** ``A_φ ∪ ¬cl(A_φ)`` feeds a
   :class:`BoundTracker` — its determinized live-restricted subset run
   with a *good* flag per edge (taking the edge validates an accepting
   visit).  Sessions count events since the last good edge; under a
@@ -27,13 +27,10 @@ The classes:
   an absorbing dead state, so stepping never branches.  It lives in
   :mod:`repro.buchi.subset` (re-exported here) so that enforcement's
   truncation monitors can share it without importing this pipeline.
-* :class:`MonitorTable` — the product of two subset tables with a
-  three-valued verdict attached to every state; definite verdicts are
-  absorbing.  The direct (decomposition-bypassing) constructor survives
-  only as the deprecated :meth:`MonitorTable.compile_direct` shim.
-* :class:`DecomposedMonitor` — a :class:`MonitorTable` plus the
-  :class:`BoundTracker` of the liveness conjunct; what
-  :meth:`MonitorTable.compile` and the :class:`CompileCache` now emit.
+* :class:`DecomposedMonitor` — the one compiled monitor: the product of
+  the two safety-closure subset tables with a three-valued verdict and a
+  ``monitorable`` flag per state (definite verdicts are absorbing), plus
+  the :class:`BoundTracker` of the liveness conjunct.
 * :class:`CompileCache` — an LRU keyed by the *canonical* formula
   (simplified, negation normal form) and alphabet, with hit/miss
   counters, so a fleet of sessions over the same policy compiles it
@@ -44,7 +41,6 @@ The classes:
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
 from types import MappingProxyType
 from collections.abc import Iterable
@@ -54,14 +50,12 @@ from repro.analysis.decompose import decompose
 from repro.buchi.automaton import BuchiAutomaton
 from repro.buchi.emptiness import live_states
 from repro.buchi.subset import SubsetTable
-from repro.ltl.monitoring import Verdict3
 from repro.ltl.simplify import simplify
 from repro.ltl.syntax import Formula, Not, nnf_over_alphabet
-from repro.ltl.translate import translate
 from repro.obs.metrics import REGISTRY
 from repro.obs.profile import PhaseTimer
 
-from .verdicts import MonitorOutcome, Verdict4
+from .verdicts import MonitorOutcome, Verdict3, Verdict4
 
 #: Per-phase wall time of the compile pipeline (``decompose`` for the
 #: two conjunct factorizations, ``live_states`` / ``determinize`` inside
@@ -76,7 +70,7 @@ _CACHE_MISSES = REGISTRY.counter(
     "repro_rv_compile_cache_misses_total", "compile-cache misses across all caches"
 )
 _TABLES_COMPILED = REGISTRY.counter(
-    "repro_rv_tables_compiled_total", "MonitorTable.compile() runs"
+    "repro_rv_tables_compiled_total", "DecomposedMonitor.compile() runs"
 )
 _TABLE_STATES = REGISTRY.histogram(
     "repro_rv_table_states_count", "product-table states per compiled monitor"
@@ -156,29 +150,81 @@ _VERDICT_OF = MappingProxyType({
 })
 
 
-class MonitorTable:
-    """A compiled three-valued monitor: the product of two subset tables
-    with a verdict per state.
+def _product(pos: SubsetTable, neg: SubsetTable):
+    """The reachable product of the ``φ``-side and ``¬φ``-side subset
+    tables: ``(next_state, verdicts, states)``, definite states absorbing."""
+    width = len(pos.symbols)
+    start = (pos.initial, neg.initial)
+    index: dict[tuple[int, int], int] = {start: 0}
+    states: list[tuple[int, int]] = [start]
+    next_state: list[list[int]] = []
+    verdicts: list[Verdict3] = []
+    i = 0
+    while i < len(states):
+        p, n = states[i]
+        verdict = _VERDICT_OF[pos.alive[p], neg.alive[n]]
+        verdicts.append(verdict)
+        if verdict is not Verdict3.UNKNOWN:
+            # definite verdicts are final — absorb.
+            next_state.append([i] * width)
+            i += 1
+            continue
+        row = []
+        for k in range(width):
+            target = (pos.next_state[p][k], neg.next_state[n][k])
+            if target not in index:
+                index[target] = len(states)
+                states.append(target)
+            row.append(index[target])
+        next_state.append(row)
+        i += 1
+    return next_state, tuple(verdicts), tuple(states)
+
+
+def _can_conclude(next_state, verdicts) -> tuple[bool, ...]:
+    """Per product state: can a definite verdict still be reached?  One
+    backward pass from the definite states over the reversed table."""
+    predecessors: list[list[int]] = [[] for _ in next_state]
+    for source, row in enumerate(next_state):
+        for target in row:
+            predecessors[target].append(source)
+    reached = [v is not Verdict3.UNKNOWN for v in verdicts]
+    frontier = [q for q, definite in enumerate(reached) if definite]
+    while frontier:
+        for source in predecessors[frontier.pop()]:
+            if not reached[source]:
+                reached[source] = True
+                frontier.append(source)
+    return tuple(reached)
+
+
+class DecomposedMonitor:
+    """A compiled monitor: the safety-conjunct product table plus the
+    liveness conjunct's :class:`BoundTracker`.
 
     ``verdicts[q]`` is the :class:`Verdict3` after reading any prefix
-    that reaches ``q``; states with a definite verdict are absorbing.
+    that reaches product state ``q``; states with a definite verdict are
+    absorbing.  ``monitorable[q]`` says whether a definite verdict is
+    still reachable from ``q`` (always true once one is reached).
     Stepping is two list indexings — no sets, no allocation.
 
-    Since PR 10 the subset tables are built from the *safety closures*
-    ``cl(A_φ)`` / ``cl(A_¬φ)`` that :func:`repro.analysis.decompose`
-    returns, not from ``A_φ`` / ``A_¬φ`` directly.  The verdicts are
-    provably unchanged: a prefix has an extension in ``cl(L)`` iff it
-    has one in ``L`` (closure adds exactly the limits of extendable
-    prefixes), so the alive-flags — and hence every verdict — coincide
-    with the PR-1 construction, which survives only as the deprecated
-    :meth:`compile_direct` shim.
+    The subset tables are built from the *safety closures* ``cl(A_φ)`` /
+    ``cl(A_¬φ)`` that :func:`repro.analysis.decompose` returns: a prefix
+    has an extension in ``cl(L)`` iff it has one in ``L`` (closure adds
+    exactly the limits of extendable prefixes), so the alive-flags, and
+    hence every verdict, are those of the set-based monitor on ``A_φ`` /
+    ``A_¬φ``.  ``tracker`` is the finitary-liveness part that sessions
+    step in lock-step to maintain their wait counters.  The horizon is
+    deliberately *not* part of the monitor: it is a runtime parameter of
+    sessions and requests, so one cached monitor serves every horizon.
     """
 
     __slots__ = ("formula", "alphabet", "symbols", "symbol_index", "initial",
-                 "next_state", "verdicts", "states")
+                 "next_state", "verdicts", "monitorable", "states", "tracker")
 
     def __init__(self, formula, alphabet, symbols, symbol_index, initial,
-                 next_state, verdicts, states):
+                 next_state, verdicts, monitorable, states,
+                 tracker: BoundTracker):
         self.formula = formula
         self.alphabet = alphabet
         self.symbols = symbols
@@ -186,72 +232,31 @@ class MonitorTable:
         self.initial = initial
         self.next_state = next_state
         self.verdicts = verdicts
+        self.monitorable = monitorable
         self.states = states
+        self.tracker = tracker
 
     @classmethod
     def compile(cls, formula: Formula, alphabet: Iterable) -> "DecomposedMonitor":
-        """Compile through the decomposition facade (the one supported
-        path): factor ``φ`` and ``¬φ`` with
-        :func:`repro.analysis.decompose`, lower the safety conjuncts
-        onto subset tables, product them, and lower ``φ``'s liveness
-        conjunct onto a :class:`BoundTracker`."""
-        return DecomposedMonitor.compile(formula, alphabet)
-
-    @classmethod
-    def compile_direct(cls, formula: Formula, alphabet: Iterable) -> "MonitorTable":
-        """**Deprecated** — the PR-1 direct ``translate() → table`` path,
-        bypassing :func:`repro.analysis.decompose`.  Kept only so the
-        equivalence property (decomposed ≡ direct on every prefix) stays
-        executable; it emits no :class:`BoundTracker`, so sessions over
-        its tables can never say anything about liveness."""
-        warnings.warn(
-            "MonitorTable.compile_direct() is deprecated: compile through "
-            "MonitorTable.compile(), which factors the policy via "
-            "repro.analysis.decompose() and adds the liveness bound tracker",
-            DeprecationWarning,
-            stacklevel=2,
-        )
+        """Factor ``φ`` and ``¬φ`` with :func:`repro.analysis.decompose`,
+        lower the safety conjuncts onto subset tables, product them, and
+        lower ``φ``'s liveness conjunct onto a :class:`BoundTracker`."""
         alphabet = frozenset(alphabet)
-        pos = SubsetTable.from_automaton(translate(formula, alphabet), phases=_PHASES)
-        neg = SubsetTable.from_automaton(translate(Not(formula), alphabet),
-                                        phases=_PHASES)
+        with _PHASES.phase("decompose"):
+            positive = decompose(formula, alphabet=alphabet)
+            negative = decompose(Not(formula), alphabet=alphabet)
+        pos = SubsetTable.from_automaton(positive.safety, phases=_PHASES)
+        neg = SubsetTable.from_automaton(negative.safety, phases=_PHASES)
         with _PHASES.phase("product"):
-            table = cls._product(formula, alphabet, pos, neg)
+            next_state, verdicts, states = _product(pos, neg)
+            monitorable = _can_conclude(next_state, verdicts)
+        with _PHASES.phase("bound_tracker"):
+            tracker = BoundTracker.from_automaton(positive.liveness)
+        monitor = cls(formula, alphabet, pos.symbols, pos.symbol_index, 0,
+                      next_state, verdicts, monitorable, states, tracker)
         _TABLES_COMPILED.add()
-        _TABLE_STATES.record(len(table))
-        return table
-
-    @classmethod
-    def _product(cls, formula, alphabet, pos: SubsetTable, neg: SubsetTable
-                 ) -> "MonitorTable":
-        symbols = pos.symbols
-        symbol_index = pos.symbol_index
-        start = (pos.initial, neg.initial)
-        index: dict[tuple[int, int], int] = {start: 0}
-        states: list[tuple[int, int]] = [start]
-        next_state: list[list[int]] = []
-        verdicts: list[Verdict3] = []
-        i = 0
-        while i < len(states):
-            p, n = states[i]
-            verdict = _VERDICT_OF[pos.alive[p], neg.alive[n]]
-            verdicts.append(verdict)
-            if verdict is not Verdict3.UNKNOWN:
-                # definite verdicts are final — absorb.
-                next_state.append([i] * len(symbols))
-                i += 1
-                continue
-            row = []
-            for k in range(len(symbols)):
-                target = (pos.next_state[p][k], neg.next_state[n][k])
-                if target not in index:
-                    index[target] = len(states)
-                    states.append(target)
-                row.append(index[target])
-            next_state.append(row)
-            i += 1
-        return cls(formula, alphabet, symbols, symbol_index, 0,
-                   next_state, tuple(verdicts), tuple(states))
+        _TABLE_STATES.record(len(monitor))
+        return monitor
 
     def __len__(self) -> int:
         return len(self.next_state)
@@ -262,53 +267,12 @@ class MonitorTable:
             raise ValueError(f"event {symbol!r} outside the alphabet")
         return self.next_state[state][index]
 
-    def verdict_of(self, state: int) -> Verdict3:
-        return self.verdicts[state]
-
     def run(self, events: Iterable) -> Verdict3:
-        """One-shot trace evaluation (the table-driven twin of
-        :func:`repro.ltl.monitoring.monitor_verdict`)."""
+        """One-shot three-valued trace evaluation."""
         state = self.initial
         for e in events:
             state = self.step(state, e)
         return self.verdicts[state]
-
-
-class DecomposedMonitor(MonitorTable):
-    """What compilation emits since PR 10: the safety-conjunct product
-    table plus the liveness conjunct's :class:`BoundTracker`.
-
-    The table half is a :class:`MonitorTable` in every observable way
-    (sessions, the enforcement monitor, and the PR-1 tests step it
-    identically); ``tracker`` is the finitary-liveness add-on that
-    sessions step in lock-step to maintain their wait counters.  The
-    horizon is deliberately *not* part of the monitor: it is a runtime
-    parameter of sessions and requests, so one cached monitor serves
-    every horizon.
-    """
-
-    __slots__ = ("tracker",)
-
-    def __init__(self, *args, tracker: BoundTracker | None = None):
-        super().__init__(*args)
-        self.tracker = tracker
-
-    @classmethod
-    def compile(cls, formula: Formula, alphabet: Iterable) -> "DecomposedMonitor":
-        """The decomposition-driven pipeline (see the class docstring)."""
-        alphabet = frozenset(alphabet)
-        with _PHASES.phase("decompose"):
-            positive = decompose(formula, alphabet=alphabet)
-            negative = decompose(Not(formula), alphabet=alphabet)
-        pos = SubsetTable.from_automaton(positive.safety, phases=_PHASES)
-        neg = SubsetTable.from_automaton(negative.safety, phases=_PHASES)
-        with _PHASES.phase("product"):
-            monitor = cls._product(formula, alphabet, pos, neg)
-        with _PHASES.phase("bound_tracker"):
-            monitor.tracker = BoundTracker.from_automaton(positive.liveness)
-        _TABLES_COMPILED.add()
-        _TABLE_STATES.record(len(monitor))
-        return monitor
 
     def run_finitary(self, events: Iterable,
                      horizon: int | None = None) -> MonitorOutcome:

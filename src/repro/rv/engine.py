@@ -15,8 +15,8 @@ batch is:
 3. *dispatched* — groups run on a thread pool (``workers > 1``) or
    inline (``workers ≤ 1``).  Workers never share a session, so the
    result is deterministic: identical to draining sessions one by one,
-   which the test suite checks against the reference
-   :class:`~repro.ltl.monitoring.RvMonitor` verdict for verdict.
+   which the test suite checks verdict for verdict against an
+   independent set-based reference monitor.
 
 Python threads don't parallelize the pure-Python table loop (the GIL),
 but the pool keeps the engine's shape honest — grouping, isolation and
@@ -30,15 +30,15 @@ import time
 from collections.abc import Iterable
 from functools import partial
 
-from repro.ltl.monitoring import Verdict3
 from repro.ltl.syntax import Formula
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
 from repro.ops.journal import DEBUG, JOURNAL, WARN, EventJournal
 
-from .compile import CompileCache, MonitorTable
+from .compile import CompileCache, DecomposedMonitor
 from .pool import WorkerPool
 from .session import SessionManager, TraceSession
 from .stats import EngineStats
+from .verdicts import Verdict3
 
 
 class RvEngine:
@@ -87,7 +87,7 @@ class RvEngine:
 
     # -- registration -------------------------------------------------------
 
-    def compile(self, formula: Formula, alphabet: Iterable) -> MonitorTable:
+    def compile(self, formula: Formula, alphabet: Iterable) -> DecomposedMonitor:
         """Compile (or fetch) the shared monitor for a policy."""
         return self.cache.get(formula, alphabet)
 

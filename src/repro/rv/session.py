@@ -8,18 +8,18 @@ shared :class:`~repro.rv.compile.DecomposedMonitor`; opening a session
 is O(1) and costs a few machine words, which is what makes 10⁴
 concurrent traces against a handful of policies cheap.
 
-Since PR 10 a session carries *two* verdicts side by side:
+A session carries *two* verdicts side by side:
 
-* :attr:`TraceSession.verdict` — the reference three-valued verdict,
-  bit-identical to PR 1 (the safety product table alone decides it);
+* :attr:`TraceSession.verdict` — the three-valued
+  :class:`~repro.rv.verdicts.Verdict3` (the safety product table alone
+  decides it), with :attr:`TraceSession.monitorable` saying whether a
+  definite one is still reachable;
 * :attr:`TraceSession.verdict4` — the four-valued
   :class:`~repro.rv.verdicts.Verdict4` that also reads the liveness
   conjunct's bound tracker: the session counts events since its last
   *good edge*, and under a finitary ``horizon`` an exceeded wait
   latches ``LIVENESS_BOUND_EXCEEDED`` forever (Chatterjee–Fijalkow:
-  the bound is a safety property of the prefix).  Sessions over legacy
-  tracker-less :class:`~repro.rv.compile.MonitorTable` objects degrade
-  gracefully — ``verdict4`` is then just the three-valued projection.
+  the bound is a safety property of the prefix).
 
 Backpressure is per session: events are *enqueued* (cheap, validated)
 and *drained* (the tight table loop) separately, and a session whose
@@ -29,7 +29,7 @@ drain.  Bad-prefix truncation is free: once the three-valued verdict is
 definite the drain loop stops touching both tables entirely and only
 counts events (the four-valued verdict is fixed at that point too:
 ``FALSE`` dominates everything, and on ``TRUE`` the latch state can no
-longer change), mirroring :meth:`RvMonitor.observe`'s early return.
+longer change).
 """
 
 from __future__ import annotations
@@ -38,10 +38,8 @@ import time
 from collections import deque
 from collections.abc import Iterable, Iterator
 
-from repro.ltl.monitoring import Verdict3
-
-from .compile import MonitorTable
-from .verdicts import MonitorOutcome, Verdict4
+from .compile import DecomposedMonitor
+from .verdicts import MonitorOutcome, Verdict3, Verdict4
 
 
 class BackpressureError(RuntimeError):
@@ -62,11 +60,11 @@ class TraceSession:
     monitor serves every horizon.
     """
 
-    __slots__ = ("session_id", "monitor", "max_pending", "horizon", "tracker",
-                 "opened_at", "_state", "_verdict", "_events", "_pending",
+    __slots__ = ("session_id", "monitor", "max_pending", "horizon", "opened_at",
+                 "_state", "_verdict", "_events", "_pending",
                  "_tstate", "_wait", "_max_wait", "_latched")
 
-    def __init__(self, session_id, monitor: MonitorTable,
+    def __init__(self, session_id, monitor: DecomposedMonitor,
                  max_pending: int = 1024, horizon: int | None = None):
         if horizon is not None and horizon < 0:
             raise ValueError("horizon must be >= 0 (or None for unbounded)")
@@ -74,9 +72,6 @@ class TraceSession:
         self.monitor = monitor
         self.max_pending = max_pending
         self.horizon = horizon
-        # legacy MonitorTable compatibility: no tracker → three-valued
-        # degradation (verdict4 is the projection of verdict3).
-        self.tracker = getattr(monitor, "tracker", None)
         self.opened_at = time.monotonic()
         self.reset()
 
@@ -85,7 +80,7 @@ class TraceSession:
         self._verdict = self.monitor.verdicts[self._state]
         self._events = 0
         self._pending: deque = deque()
-        self._tstate = self.tracker.initial if self.tracker is not None else 0
+        self._tstate = self.monitor.tracker.initial
         # wait = events since the last good edge (w(ε) = 0).
         self._wait = 0
         self._max_wait = 0
@@ -99,15 +94,12 @@ class TraceSession:
     def verdict4(self) -> Verdict4:
         """The four-valued verdict, resolved in severity order: a
         falsified safety conjunct dominates, then the liveness latch,
-        then "nothing outstanding" (definitively satisfied, or wait 0
-        with a tracker present)."""
+        then "nothing outstanding" (definitively satisfied, or wait 0)."""
         if self._verdict is Verdict3.FALSE:
             return Verdict4.FALSIFIED_SAFETY
         if self._latched:
             return Verdict4.LIVENESS_BOUND_EXCEEDED
-        if self._verdict is Verdict3.TRUE or (
-            self._wait == 0 and self.tracker is not None
-        ):
+        if self._verdict is Verdict3.TRUE or self._wait == 0:
             return Verdict4.SATISFIED_SO_FAR
         return Verdict4.INCONCLUSIVE
 
@@ -137,6 +129,12 @@ class TraceSession:
         return self._verdict is not Verdict3.UNKNOWN
 
     @property
+    def monitorable(self) -> bool:
+        """Whether a definite three-valued verdict is still reachable
+        (true once one is reached; false forever for ``GF a``)."""
+        return self.monitor.monitorable[self._state]
+
+    @property
     def pending(self) -> int:
         return len(self._pending)
 
@@ -153,7 +151,7 @@ class TraceSession:
     # -- synchronous path ---------------------------------------------------
 
     def observe(self, event) -> Verdict3:
-        """Feed one event immediately (the RvMonitor-compatible path)."""
+        """Feed one event immediately; verdicts are final once definite."""
         monitor = self.monitor
         index = monitor.symbol_index.get(event)
         if index is None:
@@ -163,8 +161,8 @@ class TraceSession:
             return self._verdict
         self._state = monitor.next_state[self._state][index]
         self._verdict = monitor.verdicts[self._state]
-        tracker = self.tracker
-        if tracker is not None and not self._latched:
+        tracker = monitor.tracker
+        if not self._latched:
             # good flag is read on the edge *out of* the current tracker
             # state, before stepping it (see BoundTracker).
             if tracker.good[self._tstate][index]:
@@ -223,9 +221,8 @@ class TraceSession:
     def drain(self) -> int:
         """Process every pending event; returns table steps performed.
 
-        Tracker-less monitors keep the PR-1 loop body of two list
-        indexings per event; decomposed monitors fuse the bound-tracker
-        step into the same loop (one extra indexing plus the wait
+        Each event is a product-table step with the bound-tracker step
+        fused into the same loop (one extra indexing plus the wait
         bookkeeping).  After truncation (definite three-valued verdict)
         the remaining events are counted and dropped without touching
         either table.
@@ -239,40 +236,30 @@ class TraceSession:
         steps = 0
         if verdict is Verdict3.UNKNOWN:
             verdicts = monitor.verdicts
-            tracker = self.tracker
-            if tracker is None:
-                # legacy tight loop (PR-1 tables: no liveness conjunct).
-                while queue:
-                    state = table[state][symbol_index[queue.popleft()]]
-                    self._events += 1
-                    steps += 1
-                    verdict = verdicts[state]
-                    if verdict is not Verdict3.UNKNOWN:
-                        break
-            else:
-                ttable, tgood = tracker.next_state, tracker.good
-                tstate, wait, max_wait = self._tstate, self._wait, self._max_wait
-                latched, horizon = self._latched, self.horizon
-                while queue:
-                    i = symbol_index[queue.popleft()]
-                    state = table[state][i]
-                    self._events += 1
-                    steps += 1
-                    verdict = verdicts[state]
-                    if not latched:
-                        if tgood[tstate][i]:
-                            wait = 0
-                        else:
-                            wait += 1
-                            if wait > max_wait:
-                                max_wait = wait
-                            if horizon is not None and wait > horizon:
-                                latched = True
-                        tstate = ttable[tstate][i]
-                    if verdict is not Verdict3.UNKNOWN:
-                        break
-                self._tstate, self._wait, self._max_wait = tstate, wait, max_wait
-                self._latched = latched
+            tracker = monitor.tracker
+            ttable, tgood = tracker.next_state, tracker.good
+            tstate, wait, max_wait = self._tstate, self._wait, self._max_wait
+            latched, horizon = self._latched, self.horizon
+            while queue:
+                i = symbol_index[queue.popleft()]
+                state = table[state][i]
+                self._events += 1
+                steps += 1
+                verdict = verdicts[state]
+                if not latched:
+                    if tgood[tstate][i]:
+                        wait = 0
+                    else:
+                        wait += 1
+                        if wait > max_wait:
+                            max_wait = wait
+                        if horizon is not None and wait > horizon:
+                            latched = True
+                    tstate = ttable[tstate][i]
+                if verdict is not Verdict3.UNKNOWN:
+                    break
+            self._tstate, self._wait, self._max_wait = tstate, wait, max_wait
+            self._latched = latched
         # truncated: the verdict is final, skip the tables entirely.
         self._events += len(queue)
         queue.clear()
@@ -287,7 +274,7 @@ class SessionManager:
         self.max_pending = max_pending
         self._sessions: dict = {}
 
-    def open(self, session_id, monitor: MonitorTable,
+    def open(self, session_id, monitor: DecomposedMonitor,
              max_pending: int | None = None,
              horizon: int | None = None) -> TraceSession:
         if session_id in self._sessions:

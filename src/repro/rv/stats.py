@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 
-from repro.ltl.monitoring import Verdict3
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -37,7 +36,7 @@ from repro.obs.metrics import (
     share_lock,
 )
 
-from .verdicts import Verdict4
+from .verdicts import Verdict3, Verdict4
 
 __all__ = ["Counter", "Gauge", "Histogram", "EngineStats"]
 
@@ -50,7 +49,7 @@ class EngineStats:
 
     * ``events`` — events consumed by sessions (including post-truncation
       events, which are counted but not stepped — matching
-      :class:`~repro.ltl.monitoring.RvMonitor` position semantics);
+      :attr:`~repro.rv.session.TraceSession.position`);
     * ``steps`` — actual table transitions (``events - steps`` is the work
       bad-prefix truncation saved);
     * ``batches`` — ``ingest`` calls; ``drains`` — per-session drains;

@@ -26,12 +26,11 @@ cross product of those two one-way doors, ordered by severity:
 * :attr:`Verdict4.INCONCLUSIVE` — safety unviolated, a wait is open
   but still within the horizon.  The honest "don't know yet".
 
-The three-valued :class:`~repro.ltl.monitoring.Verdict3` of the
-reference monitor is the projection that forgets the bound tracker:
-``FALSIFIED_SAFETY → FALSE``, definitive satisfaction ``→ TRUE``,
-everything else ``→ UNKNOWN`` — which is how the refactored engine
-stays bit-compatible with the PR-1 test suite while finally saying
-something useful about liveness.
+The three-valued :class:`Verdict3` is the projection that forgets the
+bound tracker: ``FALSIFIED_SAFETY → FALSE``, definitive satisfaction
+``→ TRUE``, everything else ``→ UNKNOWN``.  It stays a separate type
+because ``SATISFIED_SO_FAR`` covers both a definitive ``TRUE`` and
+"wait is 0 right now", so the four values cannot be projected back.
 """
 
 from __future__ import annotations
@@ -40,9 +39,24 @@ from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 
-from repro.ltl.monitoring import Verdict3
+__all__ = ["Verdict3", "Verdict4", "MonitorOutcome", "SEVERITY", "most_severe"]
 
-__all__ = ["Verdict4", "MonitorOutcome", "SEVERITY", "most_severe"]
+
+class Verdict3(Enum):
+    """Three-valued verdict on a finite prefix ``u`` of a trace.
+
+    ``FALSE``: no infinite extension of ``u`` satisfies the policy
+    (``u`` is a bad prefix: it already left ``lcl(L_φ)``); ``TRUE``:
+    every extension does (``u`` is a bad prefix of ``¬φ``);
+    ``UNKNOWN``: some extensions do and some don't.  Safety policies
+    can reach ``FALSE``, co-safety policies ``TRUE``, and properties
+    whose two closures are universal (``GF a``) stay ``UNKNOWN``
+    forever — the runtime face of the safety/liveness distinction.
+    """
+
+    TRUE = "true"
+    FALSE = "false"
+    UNKNOWN = "unknown"
 
 
 class Verdict4(Enum):

@@ -24,7 +24,6 @@ silently warming a partial cache.
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 from types import MappingProxyType
 
@@ -129,24 +128,6 @@ def replay_workload(service, requests) -> int:
         service.submit(request).result()
         count += 1
     return count
-
-
-def warm_start(service, source) -> int:
-    """Deprecated spelling of the warm start.
-
-    .. deprecated:: PR 9
-        Use :meth:`repro.service.client.Client.warm_start` — the one
-        warm-start entry point that works for both in-process and
-        sharded deployments (the sharded transport fan-out-replicates
-        the workload to every shard; this function can only reach one
-        in-process service)."""
-    warnings.warn(
-        "warm_start(service, source) is deprecated; use "
-        "Client.warm_start(source) on a repro.service.client.Client",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return replay_workload(service, load_workload(source))
 
 
 def random_workload(

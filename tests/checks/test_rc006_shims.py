@@ -1,6 +1,7 @@
-"""RC006 deprecation hygiene: ``__all__`` must not re-export shims."""
+"""RC006 deprecation hygiene: library code never issues a
+``DeprecationWarning`` — a superseded spelling is deleted, not shimmed."""
 
-from repro.checks.rules_shims import DeprecatedShimExportRule
+from repro.checks.rules_shims import DeprecatedShimRule
 
 from .conftest import rules_of
 
@@ -26,7 +27,7 @@ def fresh(x):
 
 
 def run_rc006(checker, *paths):
-    return checker.run(*paths, rules=[DeprecatedShimExportRule()])
+    return checker.run(*paths, rules=[DeprecatedShimRule()])
 
 
 def test_local_shim_in_all_flagged(checker):
@@ -35,18 +36,41 @@ def test_local_shim_in_all_flagged(checker):
     )
     report = run_rc006(checker)
     assert rules_of(report) == ["RC006"]
-    assert "deprecated shim 'decompose'" in report.findings[0].message
-    assert "defined here" in report.findings[0].message
+    assert "'decompose' issues a DeprecationWarning" in report.findings[0].message
 
 
-def test_shim_kept_importable_but_unexported_passes(checker):
+def test_shim_outside_every_all_flagged(checker):
+    # the case the old export-only rule let through
     checker.write(
         "src/repro/demo/mod.py", SHIM_MODULE + '\n__all__ = ["fresh"]\n'
     )
-    assert run_rc006(checker).findings == []
+    report = run_rc006(checker)
+    assert rules_of(report) == ["RC006"]
+    assert report.findings[0].path.endswith("mod.py")
+
+
+def test_method_shim_flagged(checker):
+    checker.write(
+        "src/repro/demo/mod.py",
+        """
+        import warnings
+
+
+        class Table:
+            @classmethod
+            def compile_direct(cls):
+                warnings.warn("use compile()", DeprecationWarning)
+                return cls()
+        """,
+    )
+    report = run_rc006(checker)
+    assert rules_of(report) == ["RC006"]
+    assert "'compile_direct'" in report.findings[0].message
 
 
 def test_reexport_through_package_init_flagged(checker):
+    # one finding, on the definition: the re-exporting init is not a
+    # second shim
     checker.write("src/repro/demo/mod.py", SHIM_MODULE)
     checker.write(
         "src/repro/demo/__init__.py",
@@ -58,22 +82,7 @@ def test_reexport_through_package_init_flagged(checker):
     )
     report = run_rc006(checker)
     assert rules_of(report) == ["RC006"]
-    finding = report.findings[0]
-    assert finding.path.endswith("__init__.py")
-    assert "resolved to repro.demo.mod" in finding.message
-
-
-def test_init_importing_without_exporting_passes(checker):
-    checker.write("src/repro/demo/mod.py", SHIM_MODULE)
-    checker.write(
-        "src/repro/demo/__init__.py",
-        """
-        from .mod import decompose, fresh  # noqa: F401 — shim importable
-
-        __all__ = ["fresh"]
-        """,
-    )
-    assert run_rc006(checker).findings == []
+    assert report.findings[0].path.endswith("mod.py")
 
 
 def test_aliased_reexport_flagged(checker):
@@ -88,54 +97,28 @@ def test_aliased_reexport_flagged(checker):
     )
     report = run_rc006(checker)
     assert rules_of(report) == ["RC006"]
-    assert "'split'" in report.findings[0].message
+    assert "'decompose'" in report.findings[0].message
 
 
 def test_multihop_reexport_flagged(checker):
-    # The chain passes through a module with no __all__ of its own —
-    # the rule must record re-export edges for *every* module, not just
-    # the ones it audits, or the chain breaks at the middle hop.
     checker.write("src/repro/demo/inner.py", SHIM_MODULE)
     checker.write(
         "src/repro/demo/mid.py",
         """
-        from .inner import decompose, fresh  # noqa: F401
+        from .inner import decompose as split, fresh  # noqa: F401
         """,
     )
     checker.write(
         "src/repro/demo/__init__.py",
         """
-        from .mid import decompose, fresh
+        from .mid import split as carve, fresh
 
-        __all__ = ["decompose", "fresh"]
+        __all__ = ["carve", "fresh"]
         """,
     )
     report = run_rc006(checker)
     assert rules_of(report) == ["RC006"]
-    finding = report.findings[0]
-    assert finding.path.endswith("__init__.py")
-    assert "resolved to repro.demo.inner" in finding.message
-
-
-def test_multihop_aliased_each_hop_flagged(checker):
-    checker.write("src/repro/demo/inner.py", SHIM_MODULE)
-    checker.write(
-        "src/repro/demo/mid.py",
-        """
-        from .inner import decompose as split  # noqa: F401
-        """,
-    )
-    checker.write(
-        "src/repro/demo/__init__.py",
-        """
-        from .mid import split as carve
-
-        __all__ = ["carve"]
-        """,
-    )
-    report = run_rc006(checker)
-    assert rules_of(report) == ["RC006"]
-    assert "'carve'" in report.findings[0].message
+    assert report.findings[0].path.endswith("inner.py")
 
 
 def test_import_cycle_terminates_without_finding(checker):
@@ -172,9 +155,6 @@ def test_category_keyword_detected(checker):
         def old(x):
             warnings.warn("old is deprecated", category=DeprecationWarning)
             return x
-
-
-        __all__ = ["old"]
         """,
     )
     assert rules_of(run_rc006(checker)) == ["RC006"]
@@ -214,7 +194,9 @@ def test_nested_function_warning_does_not_taint_parent(checker):
         __all__ = ["outer"]
         """,
     )
-    assert run_rc006(checker).findings == []
+    report = run_rc006(checker)
+    assert rules_of(report) == ["RC006"]
+    assert "'inner'" in report.findings[0].message
 
 
 def test_scoped_to_library_code(checker):
@@ -225,11 +207,10 @@ def test_scoped_to_library_code(checker):
 
 
 def test_library_tree_is_rc006_clean():
-    # the real repo keeps its shims importable-but-unexported
     from pathlib import Path
 
     from repro.checks import run_checks
 
     src = Path(__file__).resolve().parents[2] / "src" / "repro"
-    report = run_checks([src], [DeprecatedShimExportRule()])
+    report = run_checks([src], [DeprecatedShimRule()])
     assert report.findings == []

@@ -1,7 +1,11 @@
 """Tests for LTL → Büchi translation: exhaustive agreement with the
 semantic evaluator on bounded lassos, plus structural sanity."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +111,41 @@ class TestStructure:
             assert fast.accepts(w) == slow.accepts(w)
         assert len(fast.states) <= len(slow.states)
 
+
+
+_DUMP = """
+import sys
+from repro.ltl import parse, translate
+for text in sys.argv[1:]:
+    A = translate(parse(text), "abc")
+    print(sorted((q, a, sorted(t)) for (q, a), t in A.transitions.items()),
+          A.initial, sorted(A.accepting), A.canonical_key())
+"""
+
+HASH_SEED_FORMULAS = [
+    "G (a -> X b)", "F b", "GF a", "a U b", "FG a", "G (a -> F b)",
+    "(a U b) | G !b", "X X a & F !b", "G (a -> X (b U c))",
+]
+
+
+class TestHashSeedIndependence:
+    """State numbering follows formula content, not string hashing, so
+    separate processes (service shards) build identical automata."""
+
+    @staticmethod
+    def _dump(seed: str) -> str:
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", _DUMP, *HASH_SEED_FORMULAS],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return proc.stdout
+
+    def test_same_automata_under_different_hash_seeds(self):
+        first = self._dump("0")
+        assert first.count("\n") == len(HASH_SEED_FORMULAS)
+        assert self._dump("1") == first
 
 def _random_formula(rng: random.Random, depth: int) -> Formula:
     if depth == 0 or rng.random() < 0.3:

@@ -3,9 +3,9 @@ are byte-for-byte stable (with the PR 10 four-valued keys appended),
 per-engine counts stay independent under the shared registry, and the
 fused drain recorder is equivalent to the individual metric calls."""
 
-from repro.ltl import Verdict3, parse
+from repro.ltl import parse
 from repro.obs import metrics as obs_metrics
-from repro.rv import CompileCache, RvEngine
+from repro.rv import CompileCache, RvEngine, Verdict3
 from repro.rv.stats import Counter, EngineStats, Gauge, Histogram
 
 SNAPSHOT_KEYS = [

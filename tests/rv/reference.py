@@ -1,4 +1,4 @@
-"""Three-valued runtime verification of LTL, built on the closures.
+"""The set-based three-valued LTL monitor: the reference oracle.
 
 RV semantics on a finite prefix ``u``:
 
@@ -10,26 +10,20 @@ RV semantics on a finite prefix ``u``:
 
 Both verdicts are exactly the Alpern–Schneider closure machinery: "some
 extension satisfies" = the subset run over ``cl``-live states of the
-formula automaton is still alive.  Safety formulas can reach FALSE,
-co-safety formulas can reach TRUE, and properties whose both closures
-are universal (e.g. ``GF a``) stay UNKNOWN forever — the RV-theoretic
-face of the safety/liveness distinction.
+formula automaton is still alive.  This monitor computes that directly
+on sets of states of ``translate(φ)`` and ``translate(¬φ)``, without the
+decomposition, the subset tables or the product that
+:class:`repro.rv.compile.DecomposedMonitor` is compiled from, so the
+rv tests and benchmarks use it as an independent oracle for the
+monitor that ships.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-
 from repro.buchi.emptiness import live_states
-
-from .syntax import Formula, Not
-from .translate import translate
-
-
-class Verdict3(Enum):
-    TRUE = "true"
-    FALSE = "false"
-    UNKNOWN = "unknown"
+from repro.ltl.syntax import Formula, Not
+from repro.ltl.translate import translate
+from repro.rv.verdicts import Verdict3
 
 
 class RvMonitor:

@@ -1,18 +1,23 @@
 """Tests for the monitor compiler: subset tables, product tables, and
 the LRU compile cache's hit/miss semantics."""
 
+import importlib.util
+
 import pytest
 
 from repro.buchi.emptiness import live_states
-from repro.ltl import Not, RvMonitor, Verdict3, parse, translate
+from repro.ltl import Not, parse, translate
 from repro.omega import all_lassos
 from repro.rv import (
     CompileCache,
-    MonitorTable,
+    DecomposedMonitor,
     SubsetTable,
+    Verdict3,
     canonical_key,
     compile_formula,
 )
+
+from .reference import RvMonitor
 
 
 class TestSubsetTable:
@@ -45,13 +50,15 @@ class TestSubsetTable:
 
 
 class TestMonitorTable:
+    """The product table half of :class:`DecomposedMonitor`."""
+
     SPECS = ["G a", "F b", "a", "GF a", "G (a -> X b)", "a & F !a", "a U b"]
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_bit_identical_to_rv_monitor(self, spec):
         """Verdict after *every* prefix equals the reference monitor's."""
         formula = parse(spec)
-        table = MonitorTable.compile(formula, "ab")
+        table = DecomposedMonitor.compile(formula, "ab")
         reference = RvMonitor(formula, "ab")
         for word in all_lassos("ab", 2, 2):
             trace = list(word.prefix + word.cycle * 2)
@@ -63,22 +70,31 @@ class TestMonitorTable:
                 assert table.verdicts[state] is reference.observe(e)
 
     def test_definite_states_absorbing(self):
-        table = MonitorTable.compile(parse("G a"), "ab")
+        table = DecomposedMonitor.compile(parse("G a"), "ab")
         for q in range(len(table)):
             if table.verdicts[q] is not Verdict3.UNKNOWN:
                 assert all(t == q for t in table.next_state[q])
 
     def test_run_matches_monitor_verdict(self):
         formula = parse("(a U b) & G !c")
-        table = MonitorTable.compile(formula, "abc")
+        table = DecomposedMonitor.compile(formula, "abc")
         reference = RvMonitor(formula, "abc")
         for trace in ("", "a", "ab", "ac", "aab", "abc", "cab"):
             assert table.run(trace) is reference.run(trace)
 
     def test_foreign_symbol_raises_value_error(self):
-        table = MonitorTable.compile(parse("G a"), "ab")
+        table = DecomposedMonitor.compile(parse("G a"), "ab")
         with pytest.raises(ValueError, match="outside the alphabet"):
             table.step(table.initial, "z")
+
+    def test_one_monitor_type(self):
+        import repro.ltl
+        import repro.rv
+
+        assert not hasattr(repro.rv, "MonitorTable")
+        assert not hasattr(DecomposedMonitor, "compile_direct")
+        assert not hasattr(repro.ltl, "RvMonitor")
+        assert importlib.util.find_spec("repro.ltl.monitoring") is None
 
 
 class TestCanonicalKey:
@@ -142,7 +158,7 @@ class TestTruncationSemantics:
     def test_events_after_final_verdict_keep_verdict(self):
         """Matches RvMonitor: the verdict is final, later events no-op."""
         formula = parse("G a")
-        table = MonitorTable.compile(formula, "ab")
+        table = DecomposedMonitor.compile(formula, "ab")
         state = table.initial
         for e in "ab":           # FALSE now
             state = table.step(state, e)
@@ -153,8 +169,8 @@ class TestTruncationSemantics:
 
     def test_negation_swaps_true_false(self):
         formula = parse("G a")
-        pos = MonitorTable.compile(formula, "ab")
-        neg = MonitorTable.compile(Not(formula), "ab")
+        pos = DecomposedMonitor.compile(formula, "ab")
+        neg = DecomposedMonitor.compile(Not(formula), "ab")
         swap = {Verdict3.TRUE: Verdict3.FALSE,
                 Verdict3.FALSE: Verdict3.TRUE,
                 Verdict3.UNKNOWN: Verdict3.UNKNOWN}

@@ -9,8 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ltl import RvMonitor, Verdict3, parse
-from repro.rv import BackpressureError, CompileCache, RvEngine, SessionError
+from repro.ltl import parse
+from repro.rv import (
+    BackpressureError,
+    CompileCache,
+    RvEngine,
+    SessionError,
+    Verdict3,
+)
+
+from .reference import RvMonitor
 
 SPECS = ["G a", "F b", "G (a -> X b)", "GF a", "a & F !a"]
 FORMULAS = [parse(s) for s in SPECS]

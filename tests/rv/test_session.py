@@ -3,24 +3,27 @@ backpressure, and bad-prefix truncation."""
 
 import pytest
 
-from repro.ltl import RvMonitor, Verdict3, parse
+from repro.ltl import parse
 from repro.rv import (
     BackpressureError,
-    MonitorTable,
+    DecomposedMonitor,
     SessionError,
     SessionManager,
     TraceSession,
+    Verdict3,
 )
+
+from .reference import RvMonitor
 
 
 @pytest.fixture(scope="module")
 def safety():
-    return MonitorTable.compile(parse("G a"), "ab")
+    return DecomposedMonitor.compile(parse("G a"), "ab")
 
 
 @pytest.fixture(scope="module")
 def liveness():
-    return MonitorTable.compile(parse("GF a"), "ab")
+    return DecomposedMonitor.compile(parse("GF a"), "ab")
 
 
 class TestTraceSession:

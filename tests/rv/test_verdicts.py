@@ -8,24 +8,31 @@ Three properties tie the streaming verdicts back to the paper:
 * waits are bounded: ``max_wait ≤ horizon + 1``, and the latch fires
   iff some wait exceeded the horizon (finitary liveness as a safety
   property of the prefix);
-* the decomposed pipeline is three-valued-equivalent to the deprecated
-  direct compilation on every prefix (decomposition changes what the
-  monitor can *say*, never what it decides).
+* the decomposed pipeline is three-valued-equivalent to the set-based
+  reference monitor on every prefix, verdict and monitorability alike
+  (decomposition changes what the monitor can *say*, never what it
+  decides).
 """
 
 import random
-import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.buchi.safety import is_bad_prefix
 from repro.ltl import F, G, Next, Not, Release, Until, sym
-from repro.ltl.monitoring import Verdict3
 from repro.ltl.translate import translate
-from repro.rv.compile import MonitorTable, compile_formula
+from repro.rv.compile import compile_formula
 from repro.rv.session import TraceSession
-from repro.rv.verdicts import SEVERITY, MonitorOutcome, Verdict4, most_severe
+from repro.rv.verdicts import (
+    SEVERITY,
+    MonitorOutcome,
+    Verdict3,
+    Verdict4,
+    most_severe,
+)
+
+from .reference import RvMonitor
 
 A, B = sym("a"), sym("b")
 ALPHABET = ("a", "b")
@@ -171,16 +178,18 @@ class TestBoundedWaits:
         assert not outcome.bound_exceeded
 
 
-class TestDecomposedEqualsDirect:
+class TestMatchesReferenceOracle:
     @given(formulas(), prefixes)
     @settings(max_examples=120, deadline=None)
-    def test_three_valued_agreement_on_every_prefix(self, formula, prefix):
-        decomposed = compile_formula(formula, ALPHABET)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            direct = MonitorTable.compile_direct(formula, ALPHABET)
+    def test_verdict_and_monitorability_on_every_prefix(self, formula, prefix):
+        session = TraceSession("s", compile_formula(formula, ALPHABET))
+        reference = RvMonitor(formula, ALPHABET)
         for cut in range(len(prefix) + 1):
-            assert decomposed.run(prefix[:cut]) is direct.run(prefix[:cut])
+            if cut:
+                session.observe(prefix[cut - 1])
+                reference.observe(prefix[cut - 1])
+            assert session.verdict is reference.verdict
+            assert session.monitorable is reference.is_monitorable_now()
 
 
 class TestStreamingMatchesOneShot:

@@ -119,22 +119,6 @@ class TestOperations:
 
 
 class TestDeprecatedSpellings:
-    def test_warm_start_function_is_a_shim(self):
-        from repro.service.warmup import warm_start
-
-        workload = '{"version": 1, "requests": []}'
-        with AnalysisService(workers=1) as service:
-            with pytest.warns(DeprecationWarning,
-                              match="Client.warm_start"):
-                warm_start(service, workload)
-
-    def test_shim_not_in_package_all(self):
-        import repro.service
-
-        assert "warm_start" not in repro.service.__all__
-        # stays importable for existing callers
-        from repro.service.warmup import warm_start  # noqa: F401
-
     def test_client_warm_start_does_not_warn(self, client):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -9,8 +9,7 @@ shard that compiled its monitor), and sharded end-to-end behavior.
 import pytest
 
 from repro.ltl import parse
-from repro.ltl.monitoring import Verdict3
-from repro.rv.verdicts import MonitorOutcome, Verdict4
+from repro.rv.verdicts import MonitorOutcome, Verdict3, Verdict4
 from repro.service import (
     Client,
     MonitorReply,

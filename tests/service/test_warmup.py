@@ -99,14 +99,6 @@ class TestWarmStart:
             )
             assert warmed.cached
 
-    def test_old_spelling_is_a_deprecated_shim(self):
-        from repro.service.warmup import warm_start
-
-        with AnalysisService(workers=0) as svc:
-            with pytest.warns(DeprecationWarning, match="Client.warm_start"):
-                count = warm_start(svc, WORKLOAD)
-        assert count == 3
-
     def test_borrowed_service_shares_the_warm_cache(self):
         with AnalysisService(workers=0) as svc:
             client = Client(InProcessTransport(svc))
