@@ -56,6 +56,13 @@ def _workload(n_sessions: int, trace_len: int):
     return traces, stream
 
 
+def _mean_seconds(benchmark) -> float | None:
+    """The benchmark's mean round time, or ``None`` when it did not
+    time anything (``--benchmark-disable`` runs the body once, untimed)."""
+    stats = benchmark.stats
+    return stats.stats.mean if stats is not None else None
+
+
 def _run_batches(engine: RvEngine, stream, batch_size: int) -> None:
     for k in range(0, len(stream), batch_size):
         engine.ingest(stream[k : k + batch_size])
@@ -82,7 +89,9 @@ def test_engine_throughput(benchmark, batch_size):
         expected = RvMonitor(parse(SPECS[i % len(SPECS)]), "ab").run(traces[i])
         assert engine.sessions.get(i).verdict is expected
     events = len(stream)
-    seconds = benchmark.stats.stats.mean
+    seconds = _mean_seconds(benchmark)
+    if seconds is None:
+        return
     emit(
         f"RV — engine throughput, batch={batch_size}",
         f"{events:,} events over {n_sessions} sessions: "
@@ -115,7 +124,9 @@ def test_engine_throughput_finitary(benchmark):
     assert len(tally) == 4, tally  # the whole lattice shows up
     snap = engine.stats.snapshot()
     events = len(stream)
-    seconds = benchmark.stats.stats.mean
+    seconds = _mean_seconds(benchmark)
+    if seconds is None:
+        return
     benchmark.extra_info["horizon"] = horizon
     benchmark.extra_info["events_per_s"] = round(events / seconds)
     benchmark.extra_info["verdicts4"] = dict(tally)

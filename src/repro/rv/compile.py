@@ -282,7 +282,8 @@ class DecomposedMonitor:
         .TraceSession`; this is the request/reply form the service's
         ``Monitor`` verb computes.  ``max_wait`` caps at ``horizon + 1``
         once the bound is exceeded (the wait stops being informative
-        after the latch).
+        after the latch).  An event outside the alphabet raises
+        ``ValueError``, before or after truncation, as in :meth:`run`.
         """
         table, symbol_index = self.next_state, self.symbol_index
         verdicts = self.verdicts
@@ -295,11 +296,16 @@ class DecomposedMonitor:
         wait = max_wait = 0
         latched = False
         count = 0
+        unknown = Verdict3.UNKNOWN
         for e in events:
+            # looked up before the truncation test, so a foreign event
+            # is rejected wherever it falls in the trace.
+            i = symbol_index.get(e)
+            if i is None:
+                raise ValueError(f"event {e!r} outside the alphabet")
             count += 1
-            if verdict is not Verdict3.UNKNOWN:
+            if verdict is not unknown:
                 continue
-            i = symbol_index[e]
             state = table[state][i]
             verdict = verdicts[state]
             if not latched:

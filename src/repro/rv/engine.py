@@ -6,17 +6,22 @@ LRU :class:`~repro.rv.compile.CompileCache`), opens a session per live
 trace, and pushes interleaved ``(session_id, event)`` batches.  Each
 batch is:
 
-1. *routed* — events are appended to their session's bounded pending
-   queue in arrival order (per-session order is the only order that
-   matters; sessions are independent);
+1. *routed and admitted* — events are collected into one list per
+   session id in arrival order, in one pass (per-session order is the
+   only order that matters; sessions are independent); each id is
+   looked up once, and each touched session validates its list once,
+   before any session is drained.  The batch never passes through the
+   session's pending queue;
 2. *grouped* — touched sessions are bucketed by compiled monitor, so a
    worker's inner loop stays on one transition table (cache-friendly,
    and the natural sharding unit);
 3. *dispatched* — groups run on a thread pool (``workers > 1``) or
-   inline (``workers ≤ 1``).  Workers never share a session, so the
-   result is deterministic: identical to draining sessions one by one,
-   which the test suite checks verdict for verdict against an
-   independent set-based reference monitor.
+   inline (``workers ≤ 1``); each session drains what it already had
+   queued, then its admitted list, and the stats are charged once per
+   group.  Workers never share a session, so the result is
+   deterministic: identical to draining sessions one by one, which the
+   test suite checks verdict for verdict against an independent
+   set-based reference monitor.
 
 Python threads don't parallelize the pure-Python table loop (the GIL),
 but the pool keeps the engine's shape honest — grouping, isolation and
@@ -27,6 +32,7 @@ and the sequential fallback is the fast path today.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from collections.abc import Iterable
 from functools import partial
 
@@ -119,9 +125,8 @@ class RvEngine:
         the batch.  Raises :class:`~repro.rv.session.SessionError` for
         unknown ids, ``ValueError`` for foreign symbols and
         :class:`~repro.rv.session.BackpressureError` when a session's
-        queue would overflow — all *before* any event of the batch is
-        admitted to any queue, so a rejected batch leaves every session
-        exactly as it was.
+        queue would overflow — all *before* any session is drained, so
+        a rejected batch leaves every session exactly as it was.
         """
         tracer = self.tracer
         if tracer.enabled:
@@ -130,64 +135,63 @@ class RvEngine:
         return self._ingest(events, NULL_SPAN)
 
     def _ingest(self, events: Iterable[tuple], span) -> dict:
-        routed: dict[int, tuple[TraceSession, list]] = {}
-        get = self.sessions.get
+        routed: defaultdict = defaultdict(list)
         for session_id, event in events:
-            session = get(session_id)
-            entry = routed.get(id(session))
-            if entry is None:
-                entry = routed[id(session)] = (session, [])
-            entry[1].append(event)
+            routed[session_id].append(event)
         if not routed:
             return {}
+        get = self.sessions.get
+        work = {get(session_id): batch for session_id, batch in routed.items()}
         # admission control: the whole batch is validated before any
-        # event is queued (atomic reject).
-        for session, batch in routed.values():
+        # session is drained (atomic reject).
+        for session, batch in work.items():
             session.validate_batch(batch)
-        for session, batch in routed.values():
-            session.enqueue_many(batch)
-        touched = {key: session for key, (session, _) in routed.items()}
-        groups = list(self.sessions.by_monitor(touched.values()).values())
+        groups = list(self.sessions.by_monitor(work).values())
         recording = span.recording
         if recording:
             span.set(
-                events=sum(len(batch) for _, batch in routed.values()),
-                sessions=len(touched),
+                events=sum(map(len, work.values())),
+                sessions=len(work),
                 groups=len(groups),
             )
         drain = (
-            partial(self._drain_group_traced, parent=span)
+            partial(self._drain_group_traced, work, parent=span)
             if recording
-            else self._drain_group
+            else partial(self._drain_group, work)
         )
         self.pool.map(drain, groups)
         self.stats.batches.add()
-        return {s.session_id: s.verdict for s in touched.values()}
+        return {session.session_id: session.verdict for session in work}
 
-    def _drain_group_traced(self, group: list[TraceSession], parent) -> None:
+    def _drain_group_traced(self, work: dict, group: list[TraceSession],
+                            parent) -> None:
         # explicit parent: this may run on a pool thread, where the
         # tracer's thread-local stack knows nothing of the ingest span.
         with self.tracer.span("rv.drain_group", parent=parent) as span:
-            drained, stepped = self._drain_group(group)
+            drained, stepped = self._drain_group(work, group)
             span.set(sessions=len(group), events=drained, steps=stepped)
 
-    def _drain_group(self, group: list[TraceSession]) -> tuple[int, int]:
+    def _drain_group(self, work: dict,
+                     group: list[TraceSession]) -> tuple[int, int]:
+        """Drain every session of one monitor group with its admitted
+        batch; the stats are charged once for the whole group."""
         stats = self.stats
         journal = self.journal
-        record_drain = stats.record_drain
-        perf_counter = time.perf_counter
         monotonic = time.monotonic
         drained = stepped = 0
+        start = time.perf_counter()
         for session in group:
-            pending = session.pending
-            was_final = session.finalized
+            batch = work[session]
+            drained += session.pending + len(batch)
             before = session.verdict4
-            start = perf_counter()
-            steps = session.drain()
-            record_drain(pending, steps, perf_counter() - start)
-            drained += pending
+            steps = session.drain(batch)
+            if not steps:
+                # a session that takes no step was already final: its
+                # verdicts cannot have moved.
+                continue
             stepped += steps
-            if session.finalized and not was_final:
+            # it stepped, so it was undecided before this drain.
+            if session.finalized:
                 stats.record_verdict(session.verdict)
             after = session.verdict4
             if after is not before:
@@ -205,6 +209,8 @@ class RvEngine:
                         **{"from": before.value, "to": after.value,
                            "events": session.position, "wait": session.wait},
                     )
+        stats.record_drain(drained, stepped, time.perf_counter() - start,
+                           drains=len(group))
         return drained, stepped
 
     # -- queries ------------------------------------------------------------

@@ -5,8 +5,9 @@ integers (the product-table state and the bound-tracker state), a wait
 counter, a verdict, and a bounded pending queue.  The expensive objects
 (automata, closures, transition tables, good-edge flags) live in the
 shared :class:`~repro.rv.compile.DecomposedMonitor`; opening a session
-is O(1) and costs a few machine words, which is what makes 10⁴
-concurrent traces against a handful of policies cheap.
+is O(1) and costs about 240 bytes (tracemalloc over 2000 sessions; the
+pending queue is allocated only while events wait in it), which is what
+makes 10⁴ concurrent traces against a handful of policies cheap.
 
 A session carries *two* verdicts side by side:
 
@@ -25,21 +26,33 @@ Backpressure is per session: events are *enqueued* (cheap, validated)
 and *drained* (the tight table loop) separately, and a session whose
 pending queue is full raises :class:`BackpressureError` instead of
 buffering unboundedly — the caller decides whether to drop, block, or
-drain.  Bad-prefix truncation is free: once the three-valued verdict is
-definite the drain loop stops touching both tables entirely and only
-counts events (the four-valued verdict is fixed at that point too:
-``FALSE`` dominates everything, and on ``TRUE`` the latch state can no
-longer change).
+drain.  The engine skips the queue for its own batches: it checks a
+batch with :meth:`TraceSession.validate_batch` and hands it to
+:meth:`TraceSession.drain`, which steps the queued events first and the
+batch after them.  Bad-prefix truncation is free: once the three-valued
+verdict is definite the drain loop stops touching both tables entirely
+and only counts events (the four-valued verdict is fixed at that point
+too: ``FALSE`` dominates everything, and on ``TRUE`` the latch state
+can no longer change).
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from .compile import DecomposedMonitor
 from .verdicts import MonitorOutcome, Verdict3, Verdict4
+
+
+# Verdict members bound once: on CPython 3.11 reading an Enum member
+# off its class costs about ten global reads, and the engine reads
+# these for every session it drains.
+_TRUE, _FALSE, _UNKNOWN = Verdict3.TRUE, Verdict3.FALSE, Verdict3.UNKNOWN
+_FALSIFIED, _EXCEEDED, _SATISFIED, _INCONCLUSIVE = (
+    Verdict4.FALSIFIED_SAFETY, Verdict4.LIVENESS_BOUND_EXCEEDED,
+    Verdict4.SATISFIED_SO_FAR, Verdict4.INCONCLUSIVE,
+)
 
 
 class BackpressureError(RuntimeError):
@@ -79,7 +92,9 @@ class TraceSession:
         self._state = self.monitor.initial
         self._verdict = self.monitor.verdicts[self._state]
         self._events = 0
-        self._pending: deque = deque()
+        # () until something is queued: most sessions never hold a
+        # queue, and an empty list would cost 56 bytes each.
+        self._pending: list | tuple = ()
         self._tstate = self.monitor.tracker.initial
         # wait = events since the last good edge (w(ε) = 0).
         self._wait = 0
@@ -95,13 +110,14 @@ class TraceSession:
         """The four-valued verdict, resolved in severity order: a
         falsified safety conjunct dominates, then the liveness latch,
         then "nothing outstanding" (definitively satisfied, or wait 0)."""
-        if self._verdict is Verdict3.FALSE:
-            return Verdict4.FALSIFIED_SAFETY
+        verdict = self._verdict
+        if verdict is _FALSE:
+            return _FALSIFIED
         if self._latched:
-            return Verdict4.LIVENESS_BOUND_EXCEEDED
-        if self._verdict is Verdict3.TRUE or self._wait == 0:
-            return Verdict4.SATISFIED_SO_FAR
-        return Verdict4.INCONCLUSIVE
+            return _EXCEEDED
+        if verdict is _TRUE or self._wait == 0:
+            return _SATISFIED
+        return _INCONCLUSIVE
 
     @property
     def wait(self) -> int:
@@ -126,7 +142,7 @@ class TraceSession:
     @property
     def finalized(self) -> bool:
         """Whether the verdict is definite (truncation point reached)."""
-        return self._verdict is not Verdict3.UNKNOWN
+        return self._verdict is not _UNKNOWN
 
     @property
     def monitorable(self) -> bool:
@@ -157,7 +173,7 @@ class TraceSession:
         if index is None:
             raise ValueError(f"event {event!r} outside the alphabet")
         self._events += 1
-        if self._verdict is not Verdict3.UNKNOWN:
+        if self._verdict is not _UNKNOWN:
             return self._verdict
         self._state = monitor.next_state[self._state][index]
         self._verdict = monitor.verdicts[self._state]
@@ -194,13 +210,18 @@ class TraceSession:
                 f"session {self.session_id!r}: pending queue full "
                 f"({self.max_pending} events); drain before enqueueing more"
             )
-        self._pending.append(event)
+        if self._pending:
+            self._pending.append(event)
+        else:
+            self._pending = [event]
 
     def validate_batch(self, events: Iterable) -> None:
         """Check symbols and queue capacity without mutating anything —
         the engine's pre-admission pass, so a rejected batch leaves every
-        session exactly as it was."""
-        events = list(events)
+        session exactly as it was.  A list or tuple is checked in place,
+        not copied."""
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
         symbol_index = self.monitor.symbol_index
         for e in events:
             if e not in symbol_index:
@@ -216,34 +237,38 @@ class TraceSession:
         """Admit a whole sequence atomically: all events queue or none."""
         events = list(events)
         self.validate_batch(events)
-        self._pending.extend(events)
+        self._pending = [*self._pending, *events]
 
-    def drain(self) -> int:
-        """Process every pending event; returns table steps performed.
+    def drain(self, batch: Sequence = ()) -> int:
+        """Process every pending event, then ``batch``; returns table
+        steps performed.
 
-        Each event is a product-table step with the bound-tracker step
-        fused into the same loop (one extra indexing plus the wait
-        bookkeeping).  After truncation (definite three-valued verdict)
-        the remaining events are counted and dropped without touching
-        either table.
+        ``batch`` is the engine's admitted batch: it must already have
+        passed :meth:`validate_batch`, and it is stepped directly, never
+        copied into the pending queue.  Each event is a product-table
+        step with the bound-tracker step fused into the same loop (one
+        extra indexing plus the wait bookkeeping).  After truncation
+        (definite three-valued verdict) the remaining events are counted
+        and dropped without touching either table.
         """
-        queue = self._pending
-        if not queue:
+        pending = self._pending
+        events = [*pending, *batch] if pending else batch
+        if not events:
             return 0
-        monitor = self.monitor
-        table, symbol_index = monitor.next_state, monitor.symbol_index
-        state, verdict = self._state, self._verdict
         steps = 0
-        if verdict is Verdict3.UNKNOWN:
+        if self._verdict is _UNKNOWN:
+            unknown = _UNKNOWN
+            monitor = self.monitor
+            table, symbol_index = monitor.next_state, monitor.symbol_index
             verdicts = monitor.verdicts
             tracker = monitor.tracker
             ttable, tgood = tracker.next_state, tracker.good
+            state, verdict = self._state, unknown
             tstate, wait, max_wait = self._tstate, self._wait, self._max_wait
             latched, horizon = self._latched, self.horizon
-            while queue:
-                i = symbol_index[queue.popleft()]
+            for e in events:
+                i = symbol_index[e]
                 state = table[state][i]
-                self._events += 1
                 steps += 1
                 verdict = verdicts[state]
                 if not latched:
@@ -256,14 +281,14 @@ class TraceSession:
                         if horizon is not None and wait > horizon:
                             latched = True
                     tstate = ttable[tstate][i]
-                if verdict is not Verdict3.UNKNOWN:
+                if verdict is not unknown:
                     break
+            self._state, self._verdict = state, verdict
             self._tstate, self._wait, self._max_wait = tstate, wait, max_wait
             self._latched = latched
-        # truncated: the verdict is final, skip the tables entirely.
-        self._events += len(queue)
-        queue.clear()
-        self._state, self._verdict = state, verdict
+        # events past the truncation point are counted, never stepped.
+        self._events += len(events)
+        self._pending = ()
         return steps
 
 

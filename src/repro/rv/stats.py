@@ -19,8 +19,10 @@ thin facade that registers every engine measurement in the process-wide
   relative bucket width instead of exactly-but-only the recent window.
   ``latency_window`` is accepted for API compatibility and ignored.
 
-The overhead budget is unchanged: one lock acquire and one add per
-recorded value, all charged per *drain*, never per event.
+The overhead budget: one lock acquire and one add per recorded value,
+all charged once per *monitor group drain*, never per session or per
+event (verdict transitions are the exception: one record per session
+whose verdict moved).
 """
 
 from __future__ import annotations
@@ -52,10 +54,11 @@ class EngineStats:
       :attr:`~repro.rv.session.TraceSession.position`);
     * ``steps`` — actual table transitions (``events - steps`` is the work
       bad-prefix truncation saved);
-    * ``batches`` — ``ingest`` calls; ``drains`` — per-session drains;
+    * ``batches`` — ``ingest`` calls; ``drains`` — per-session drains
+      (charged per monitor group, by the number of sessions in it);
     * ``verdicts`` — sessions *reaching* each definite verdict kind;
-    * ``step_latency`` — per-event seconds, sampled once per drain
-      (drain wall-time / events drained).
+    * ``step_latency`` — per-event seconds, sampled once per monitor
+      group drain (group wall-time / events the group drained).
 
     Cache hit/miss counters live on the :class:`~repro.rv.compile
     .CompileCache`; :meth:`snapshot` merges them when given the cache.
@@ -129,21 +132,23 @@ class EngineStats:
         )
         self._transition_counters: dict = {}
         self._verdict_latencies: dict = {}
-        # The drain loop updates these three together on every drain;
+        # The engine updates these three together once per group drain;
         # fuse them under one lock so the hot path pays one acquire.
         self._drain_lock = share_lock(self.events, self.steps, self.drains)
 
-    def record_drain(self, pending: int, steps: int, elapsed: float) -> None:
-        """One session drain: ``pending`` events consumed, ``steps``
-        transitions taken, in ``elapsed`` seconds.  Single fused lock
-        acquire for the counters (see :func:`~repro.obs.metrics
-        .share_lock`) plus one histogram record."""
+    def record_drain(self, events: int, steps: int, elapsed: float,
+                     drains: int = 1) -> None:
+        """``drains`` session drains (one monitor group): ``events``
+        events consumed, ``steps`` transitions taken, in ``elapsed``
+        seconds.  Single fused lock acquire for the counters (see
+        :func:`~repro.obs.metrics.share_lock`) plus one histogram
+        record."""
         with self._drain_lock:
-            self.events._value += pending
+            self.events._value += events
             self.steps._value += steps
-            self.drains._value += 1
-        if pending:
-            self.step_latency.record(elapsed / pending)
+            self.drains._value += drains
+        if events:
+            self.step_latency.record(elapsed / events)
 
     def record_verdict(self, verdict: Verdict3) -> None:
         self.verdicts[verdict].add()

@@ -87,6 +87,17 @@ class TestMonitorTable:
         with pytest.raises(ValueError, match="outside the alphabet"):
             table.step(table.initial, "z")
 
+    @pytest.mark.parametrize("trace", ["z", "azb", "bz", "bbz"])
+    def test_run_finitary_rejects_foreign_events(self, trace):
+        """A foreign event raises ``ValueError`` like :meth:`run` does,
+        whether it comes before the verdict is definite (``azb``) or
+        after truncation (``bz``: ``G a`` is falsified by ``b``)."""
+        monitor = DecomposedMonitor.compile(parse("G a"), "ab")
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            monitor.run_finitary(trace)
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            monitor.run_finitary(trace, horizon=0)
+
     def test_one_monitor_type(self):
         import repro.ltl
         import repro.rv

@@ -66,21 +66,31 @@ class TestEngineBasics:
     def test_rejected_batch_is_atomic(self):
         """A batch that fails admission (foreign symbol or overflow)
         leaves every session untouched — nothing queued, nothing
-        stepped."""
+        stepped — including a session that already holds queued events
+        and sits earlier in the rejected batch."""
         engine = RvEngine(cache=_CACHE, max_pending=4)
         engine.open_session("s", parse("GF a"), "ab")
         engine.open_session("t", parse("GF a"), "ab")
+        engine.open_session("q", parse("G (a -> X b)"), "ab")
+        queued = engine.sessions.get("q")
+        queued.enqueue("a")
+        queued.enqueue("b")
         with pytest.raises(ValueError, match="outside the alphabet"):
-            engine.ingest([("s", "a"), ("t", "a"), ("s", "z")])
+            engine.ingest([("q", "a"), ("s", "a"), ("t", "a"), ("s", "z")])
         with pytest.raises(BackpressureError):
-            engine.ingest([("t", "a")] * 5)
+            engine.ingest([("q", "a")] + [("t", "a")] * 5)
         for sid in ("s", "t"):
             session = engine.sessions.get(sid)
             assert session.pending == 0 and session.position == 0
-        # a subsequent clean batch applies only its own events
-        engine.ingest([("s", "a"), ("t", "b")])
+        assert queued.pending == 2 and queued.position == 0
+        # a subsequent clean batch applies only its own events, after
+        # the queued ones: "aba" is undecided, "aab" would be FALSE
+        engine.ingest([("s", "a"), ("t", "b"), ("q", "a")])
         assert engine.sessions.get("s").position == 1
         assert engine.sessions.get("t").position == 1
+        assert queued.pending == 0 and queued.position == 3
+        assert queued.verdict is reference_verdict("G (a -> X b)", "aba")
+        assert queued.verdict is Verdict3.UNKNOWN
 
     def test_stats_accounting(self):
         engine = RvEngine(cache=CompileCache())
@@ -93,6 +103,20 @@ class TestEngineBasics:
         assert snap["batches"] == 1
         assert snap["verdicts"]["false"] == 1
         assert snap["cache"] == {"hits": 0, "misses": 1, "size": 1, "maxsize": 256}
+
+
+    def test_stats_charged_once_per_monitor_group(self):
+        """One ingest touching three sessions over two monitors counts
+        three drains but records one latency sample per group."""
+        engine = RvEngine(cache=CompileCache())
+        engine.open_session("a1", parse("GF a"), "ab")
+        engine.open_session("a2", parse("GF a"), "ab")
+        engine.open_session("b1", parse("F b"), "ab")
+        engine.ingest([("a1", "a"), ("b1", "a"), ("a2", "b"), ("a1", "b")])
+        snap = engine.snapshot()
+        assert snap["events"] == 4 and snap["steps"] == 4
+        assert snap["drains"] == 3
+        assert engine.stats.step_latency.count == 2
 
 
 @st.composite
@@ -150,6 +174,94 @@ class TestBatchSequentialEquivalence:
                      engine.stats.steps.value)
                 )
         assert outcomes[0] == outcomes[1]
+
+
+@st.composite
+def finitary_workloads(draw):
+    """Sessions with their own horizons, plus a script of ``ingest``
+    batches (random interleavings and cuts) and direct ``enqueue``
+    pushes between them."""
+    n_sessions = draw(st.integers(min_value=1, max_value=4))
+    sessions = [
+        (draw(st.sampled_from(SPECS)),
+         draw(st.one_of(st.none(), st.integers(min_value=0, max_value=6))))
+        for _ in range(n_sessions)
+    ]
+    event = st.tuples(st.integers(min_value=0, max_value=n_sessions - 1),
+                      st.sampled_from("ab"))
+    script = draw(st.lists(
+        st.tuples(st.sampled_from(("ingest", "enqueue")),
+                  st.lists(event, max_size=12)),
+        max_size=10,
+    ))
+    workers = draw(st.sampled_from((0, 4)))
+    return sessions, script, workers
+
+
+def _replay(monitor, trace, horizon) -> tuple[int, int]:
+    """``(steps, wait)`` a session ends with after ``trace``: table steps
+    run up to and including the event that makes the three-valued
+    verdict definite, and the wait (``w(ε) = 0``; reset on a good edge,
+    else ``w + 1``) stops moving there or once it exceeds ``horizon``."""
+    tracker = monitor.tracker
+    state, tstate = monitor.initial, tracker.initial
+    steps = wait = 0
+    for event in trace:
+        if monitor.verdicts[state] is not Verdict3.UNKNOWN:
+            break
+        i = monitor.symbol_index[event]
+        steps += 1
+        state = monitor.next_state[state][i]
+        if horizon is None or wait <= horizon:
+            wait = 0 if tracker.good[tstate][i] else wait + 1
+            tstate = tracker.next_state[tstate][i]
+    return steps, wait
+
+
+class TestFinitaryEngineMatchesOneShot:
+    @settings(max_examples=60, deadline=None)
+    @given(finitary_workloads())
+    def test_four_valued_state_matches_run_finitary(self, workload):
+        """Any interleaving, batching and mix of ``enqueue`` and
+        ``ingest`` leaves every session in exactly the state the one-shot
+        ``run_finitary`` computes from the events it has drained, and the
+        engine counters are the per-session sums."""
+        sessions, script, workers = workload
+        drained = {i: [] for i in range(len(sessions))}
+        queued = {i: [] for i in range(len(sessions))}
+        drains = 0
+        with RvEngine(cache=_CACHE, workers=workers) as engine:
+            for i, (spec, horizon) in enumerate(sessions):
+                engine.open_session(i, parse(spec), "ab", horizon=horizon)
+            for kind, events in script:
+                if kind == "enqueue":
+                    for sid, event in events:
+                        engine.sessions.get(sid).enqueue(event)
+                        queued[sid].append(event)
+                    continue
+                engine.ingest(events)
+                for sid in dict.fromkeys(sid for sid, _ in events):
+                    drained[sid] += queued[sid]
+                    queued[sid] = []
+                    drained[sid] += [e for s, e in events if s == sid]
+                    drains += 1
+            steps = 0
+            for i, (spec, horizon) in enumerate(sessions):
+                monitor = _CACHE.get(parse(spec), "ab")
+                oneshot = monitor.run_finitary(drained[i], horizon=horizon)
+                session = engine.sessions.get(i)
+                assert session.verdict4 is oneshot.verdict
+                assert session.verdict is oneshot.verdict3
+                assert session.position == oneshot.events == len(drained[i])
+                assert session.max_wait == oneshot.max_wait
+                assert session.pending == len(queued[i])
+                stepped, wait = _replay(monitor, drained[i], horizon)
+                assert session.wait == wait
+                steps += stepped
+            snap = engine.snapshot()
+            assert snap["events"] == sum(map(len, drained.values()))
+            assert snap["steps"] == steps
+            assert snap["drains"] == drains
 
 
 class TestAcceptanceWorkload:

@@ -67,6 +67,36 @@ class TestTraceSession:
         assert session.drain() == 2
         assert session.position == 4
 
+    def test_drain_batch_after_pending_in_order(self, safety):
+        """``drain(batch)`` steps the queued events first, then the
+        batch; the batch is read, never copied into the queue."""
+        session = TraceSession("s", safety)
+        direct = TraceSession("d", safety)
+        session.enqueue("a")
+        batch = ["a", "b", "a"]
+        session.validate_batch(batch)
+        assert session.drain(batch) == 3
+        direct.run("aaba")
+        assert session.verdict is direct.verdict is Verdict3.FALSE
+        assert session.position == 4 and session.pending == 0
+        assert batch == ["a", "b", "a"]
+
+    def test_drain_batch_without_pending(self, liveness):
+        session = TraceSession("s", liveness)
+        assert session.drain(["b", "a"]) == 2
+        assert session.position == 2 and session.pending == 0
+        assert session.drain() == 0 and session.drain([]) == 0
+
+    def test_validate_batch_rejects_without_mutating(self, liveness):
+        session = TraceSession("s", liveness, max_pending=3)
+        session.enqueue("a")
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            session.validate_batch(["a", "z"])
+        with pytest.raises(BackpressureError, match="overflow"):
+            session.validate_batch(iter("aaa"))
+        session.validate_batch(("a", "b"))
+        assert session.pending == 1 and session.position == 0
+
     def test_backpressure_raises_when_full(self, liveness):
         session = TraceSession("s", liveness, max_pending=3)
         for e in "aba":
